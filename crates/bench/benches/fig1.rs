@@ -6,7 +6,7 @@
 
 use icost::{icost, render_bar_chart, traditional_breakdown, Breakdown, CostOracle, GraphOracle};
 use icost_bench::{observe, Shape};
-use uarch_runner::LatticeGraphOracle;
+use uarch_runner::{Backend, Runner};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
 use uarch_workloads::{parallel_misses, serial_misses_parallel_alu};
 
@@ -25,7 +25,8 @@ fn main() {
     println!("traditional single-cause breakdown (Figure 1a, 'old method'):");
     print!("{}", trad.to_table());
     println!();
-    let mut oracle = LatticeGraphOracle::new(&graph);
+    let runner = Runner::new();
+    let mut oracle = runner.oracle(Backend::graph(&graph));
     let classes = [EventClass::Dmiss, EventClass::Dl1, EventClass::ShortAlu];
     let b = Breakdown::full(&mut oracle, &classes);
     println!("parallel-miss kernel, full power-set breakdown:");
@@ -53,7 +54,7 @@ fn main() {
     // cover chain ⇒ icost(dmiss, shalu) < 0.
     let t2 = serial_misses_parallel_alu(120, 110);
     let (_, graph2) = observe(&t2, &cfg);
-    let mut oracle2 = LatticeGraphOracle::new(&graph2);
+    let mut oracle2 = runner.oracle(Backend::graph(&graph2));
     let pair = EventSet::from([EventClass::Dmiss, EventClass::ShortAlu]);
     let serial_icost = icost(&mut oracle2, pair);
     let dmiss_cost = oracle2.cost(EventSet::single(EventClass::Dmiss));

@@ -2,8 +2,9 @@
 //! one large dependence graph, answered three ways — per-set scalar
 //! evaluation (`DepGraph::evaluate`, the pre-kernel path), the
 //! lane-batched kernel (`DepGraph::eval_many`, up to 16 subsets per
-//! instruction sweep), and the `LatticeGraphOracle` (the same kernel on
-//! the runner substrate, with `graph.*` metrics and run-ledger records).
+//! instruction sweep), and the runner's graph-backend `Oracle` (the same
+//! kernel on the runner substrate, with `graph.*` metrics and run-ledger
+//! records).
 //!
 //! All three must be bit-identical; the kernel must beat per-set
 //! evaluation by at least 4x on a single core — the win comes entirely
@@ -21,7 +22,7 @@ use icost_bench::{observe_workload, workload, Shape, DEFAULT_SEED};
 use uarch_graph::{LaneScratch, MAX_LANES};
 use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, Provenance, LEDGER_FILE_ENV};
 use uarch_obs::{flush_global, global, install_global, Tracer};
-use uarch_runner::LatticeGraphOracle;
+use uarch_runner::{Backend, Runner};
 use uarch_trace::{EventSet, MachineConfig};
 
 fn main() {
@@ -81,18 +82,18 @@ fn main() {
     // substrate — graph.* counters, spans, and per-job ledger records.
     global().set_enabled(true);
     uarch_obs::ledger::global().set_enabled(true);
-    let mut oracle = LatticeGraphOracle::new(&graph);
+    let mut oracle = Runner::new().oracle(Backend::graph(&graph));
     let start = Instant::now();
     oracle.prefetch(&sets);
     let oracle_wall = start.elapsed();
     let oracle_costs: Vec<i64> = sets.iter().map(|&s| oracle.cost(s)).collect();
-    let snap = oracle.metrics().snapshot();
+    let snap = oracle.graph_metrics().snapshot();
     global().set_enabled(false);
     uarch_obs::ledger::global().set_enabled(false);
     println!(
         "oracle:  {:>4} sweeps in {oracle_wall:>10.3?}  (instrumented, {} threads)\n",
         snap.counter("graph.sweeps"),
-        oracle.ledger_run_id().map_or(1, |_| 1).max(1)
+        oracle.report().threads
     );
     println!("oracle metrics:\n{}", snap.to_table());
 

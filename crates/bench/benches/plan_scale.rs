@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use icost_bench::{bench_insts, observe_workload, workload, Shape, DEFAULT_SEED};
 use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, LEDGER_FILE_ENV};
-use uarch_plan::{PlanProvenance, PlannedAnswer, RunnerPlanExt};
+use uarch_plan::{PlanProvenance, PlannedAnswer, Planner};
 use uarch_runner::{Query, Runner};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
 
@@ -106,7 +106,14 @@ fn main() {
     // must not be satisfied by state someone else paid for).
     uarch_obs::ledger::global().set_enabled(true);
     let auto_runner = Runner::new();
-    let mut planner = auto_runner.plan(&cfg, &w.trace, &w.warm_data, &w.warm_code, &graph);
+    let mut planner = Planner::new(
+        &auto_runner,
+        &cfg,
+        &w.trace,
+        &w.warm_data,
+        &w.warm_code,
+        &graph,
+    );
     let mut round_answers = Vec::new();
     let auto_start = Instant::now();
     for round in 1..=ROUNDS {

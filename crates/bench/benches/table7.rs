@@ -11,7 +11,7 @@ use icost::{icost, Breakdown, CostOracle, GraphOracle};
 use icost_bench::{bench_insts, multisim_oracle, workload, Shape};
 use shotgun::{collect_samples, ProfilerOracle, SamplerConfig};
 use uarch_graph::DepGraph;
-use uarch_runner::{LatticeGraphOracle, RunReport};
+use uarch_runner::{Backend, RunReport, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
 
@@ -41,7 +41,7 @@ fn main() {
         // runner — the whole singleton+pair lattice lands as one
         // deduplicated parallel wave instead of serial one-at-a-time runs.
         let mut multi = multisim_oracle(&w, &cfg);
-        let mut full = LatticeGraphOracle::new(&graph);
+        let mut full = Runner::new().oracle(Backend::graph(&graph));
         let samples = collect_samples(&w.trace, &result, &SamplerConfig::default());
         let mut prof = ProfilerOracle::new(&samples, &w.program, &cfg, 16, 7);
 
@@ -153,7 +153,7 @@ fn main() {
         (r, g)
     };
     let _ = result;
-    let mut oracle = LatticeGraphOracle::new(&graph);
+    let mut oracle = Runner::new().oracle(Backend::graph(&graph));
     let b = Breakdown::with_focus(&mut oracle, &EventClass::ALL, EventClass::Dl1);
     shape.check("breakdown table carries all 17 rows", b.rows.len() == 17);
     if let Ok(Some(path)) = uarch_obs::flush_global() {

@@ -21,7 +21,7 @@ use uarch_audit::AuditConfig;
 use uarch_graph::DepGraph;
 use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, LEDGER_FILE_ENV};
 use uarch_obs::{install_global, Tracer};
-use uarch_runner::Query;
+use uarch_runner::{Backend, Query};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
 use uarch_workloads::{generate, BenchProfile};
@@ -82,7 +82,7 @@ fn main() {
 
         // Graph side: the whole lattice in lane-batched sweeps, every
         // answer memoized and ledgered through the shared cache.
-        let mut oracle = runner.graph_oracle(&graph);
+        let mut oracle = runner.oracle(Backend::graph(&graph));
         oracle.prefetch(&lattice);
         let base_err_pm = (1000 * (oracle.baseline() as i64 - result.cycles as i64))
             / (result.cycles.max(1) as i64);

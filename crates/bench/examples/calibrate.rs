@@ -3,7 +3,7 @@
 //! `ICOST_CACHE_DIR` set skips every already-measured benchmark.
 use icost::Breakdown;
 use icost_bench::paper::TABLE4A;
-use icost_bench::{graph_oracle, observe_workload, workload};
+use icost_bench::{observe_workload, workload, workload_graph_oracle};
 use uarch_trace::{EventClass, MachineConfig};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     for col in &TABLE4A {
         let w = workload(col.name, n, 2003);
         let (_, graph) = observe_workload(&w, &cfg);
-        let mut o = graph_oracle(&graph, &w, &cfg);
+        let mut o = workload_graph_oracle(&graph, &w, &cfg);
         let b = Breakdown::with_focus(&mut o, &EventClass::ALL, EventClass::Dl1);
         let g = |l: &str| b.percent(l).unwrap_or(f64::NAN);
         println!("{:<8} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>7.1} | {:>8.1} {:>8.1} {:>8.1} {:>8.1}",

@@ -15,9 +15,7 @@ use std::sync::OnceLock;
 
 use icost::{Breakdown, CostOracle};
 use uarch_graph::DepGraph;
-use uarch_runner::{
-    context_id, CachedOracle, LatticeGraphOracle, ParallelMultiSimOracle, Runner, SimCache,
-};
+use uarch_runner::{context_id, Backend, Oracle, Runner, SimCache};
 use uarch_sim::{Idealization, SimResult, Simulator};
 use uarch_trace::{EventClass, MachineConfig, Trace};
 use uarch_workloads::{generate, BenchProfile, Workload};
@@ -68,7 +66,7 @@ pub fn observe_workload(w: &Workload, config: &MachineConfig) -> (SimResult, Dep
 /// The process-wide simulation-result cache every harness helper feeds.
 ///
 /// Bench targets route all their oracles through this cache (via
-/// [`harness_runner`]/[`multisim_oracle`]/[`graph_oracle`]), so sets
+/// [`harness_runner`]/[`multisim_oracle`]/[`workload_graph_oracle`]), so sets
 /// shared between artifacts in one process are simulated once. Point
 /// `ICOST_CACHE_DIR` at a directory to persist results across bench
 /// invocations too.
@@ -89,11 +87,13 @@ pub fn harness_runner() -> Runner {
 /// Ground-truth oracle over a generated workload: warmed idealized
 /// re-simulation with parallel deduplicated prefetch, feeding the shared
 /// cache.
-pub fn multisim_oracle<'a>(
-    w: &'a Workload,
-    config: &'a MachineConfig,
-) -> ParallelMultiSimOracle<'a> {
-    harness_runner().oracle_warmed(config, &w.trace, &w.warm_data, &w.warm_code)
+pub fn multisim_oracle<'a>(w: &'a Workload, config: &'a MachineConfig) -> Oracle<'a> {
+    harness_runner().oracle(Backend::Sim {
+        config,
+        trace: &w.trace,
+        warm_data: &w.warm_data,
+        warm_code: &w.warm_code,
+    })
 }
 
 /// Cached lane-batched graph oracle over an already-built dependence
@@ -102,22 +102,19 @@ pub fn multisim_oracle<'a>(
 /// context is keyed by the *workload* that produced the graph (stable
 /// across rebuilds) and tagged `"graph"` so approximate graph results can
 /// never alias the multisim ground truth for the same workload.
-pub fn graph_oracle<'g>(
+pub fn workload_graph_oracle<'g>(
     graph: &'g DepGraph,
     w: &Workload,
     config: &MachineConfig,
-) -> CachedOracle<LatticeGraphOracle<'g>> {
+) -> Oracle<'g> {
     let ctx = context_id(config, &w.trace, &w.warm_data, &w.warm_code).tagged("graph");
-    let inner = LatticeGraphOracle::new(graph)
-        .with_threads(harness_runner().threads())
-        .with_context(ctx);
-    CachedOracle::new(inner, ctx, shared_cache().clone())
+    harness_runner().oracle(Backend::Graph { graph, ctx })
 }
 
 /// Graph-based Table-4-style breakdown for one generated workload.
 pub fn workload_breakdown(w: &Workload, config: &MachineConfig, focus: EventClass) -> Breakdown {
     let (_, graph) = observe_workload(w, config);
-    let mut oracle = graph_oracle(&graph, w, config);
+    let mut oracle = workload_graph_oracle(&graph, w, config);
     Breakdown::with_focus(&mut oracle, &EventClass::ALL, focus)
 }
 

@@ -170,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_oracle_memoizes() {
+    fn memoizes_graph_evaluations() {
         let cfg = MachineConfig::table6();
         let t = kernel();
         let res = Simulator::new(&cfg).run(&t, Idealization::none());

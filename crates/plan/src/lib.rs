@@ -6,7 +6,7 @@
 //! | Rung    | Substrate                              | Cost     | Fidelity    |
 //! |---------|----------------------------------------|----------|-------------|
 //! | `cache` | shared content-addressed [`SimCache`]  | free     | exact       |
-//! | `graph` | lane-batched [`LatticeGraphOracle`]    | cheap    | approximate |
+//! | `graph` | lane-batched graph [`Oracle`]          | cheap    | approximate |
 //! | `sim`   | parallel ground-truth re-simulation    | expensive| exact       |
 //!
 //! Until now callers picked one up front — paying full re-simulation or
@@ -21,7 +21,7 @@
 //! calibration instead of relearning it.
 //!
 //! ```no_run
-//! use uarch_plan::RunnerPlanExt;
+//! use uarch_plan::Planner;
 //! use uarch_runner::{Query, Runner};
 //! use uarch_sim::{Idealization, Simulator};
 //! use uarch_graph::DepGraph;
@@ -32,7 +32,7 @@
 //! let baseline = Simulator::new(&config).run(&trace, Idealization::none());
 //! let graph = DepGraph::build(&trace, &baseline, &config);
 //! let runner = Runner::new();
-//! let mut planner = runner.plan(&config, &trace, &[], &[], &graph);
+//! let mut planner = Planner::new(&runner, &config, &trace, &[], &[], &graph);
 //! let (answers, report) = planner.plan(&[
 //!     Query::Cost(EventSet::single(EventClass::Dmiss)),
 //! ]);
@@ -42,7 +42,7 @@
 //! ```
 //!
 //! [`SimCache`]: uarch_runner::SimCache
-//! [`LatticeGraphOracle`]: uarch_runner::LatticeGraphOracle
+//! [`Oracle`]: uarch_runner::Oracle
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,59 +54,3 @@ pub use calibrate::{Calibrator, ContextCalibration, AUDIT_REFUTED_SET};
 pub use planner::{
     assess, Assessment, PlanConfig, PlanProvenance, PlanReason, PlannedAnswer, Planner,
 };
-
-use uarch_graph::DepGraph;
-use uarch_runner::{Query, RunReport, Runner};
-use uarch_trace::{MachineConfig, Trace};
-
-/// Planner entry points hung off [`Runner`], so callers write
-/// `runner.plan(...)` / `runner.run_auto(...)` next to the existing
-/// `runner.run(...)` / `runner.run_graph(...)`.
-pub trait RunnerPlanExt {
-    /// A [`Planner`] bound to this runner's cache and thread budget.
-    /// Keep it alive across batches — cache coverage and calibration
-    /// both accumulate.
-    fn plan<'a>(
-        &self,
-        config: &'a MachineConfig,
-        trace: &'a Trace,
-        warm_data: &'a [u64],
-        warm_code: &'a [u64],
-        graph: &'a DepGraph,
-    ) -> Planner<'a>;
-
-    /// One-shot auto-backend batch: build a planner, answer `queries`,
-    /// return planned answers plus the aggregate work report. The
-    /// calibrator starts empty, so a cold first batch escalates —
-    /// long-lived callers should hold a [`Planner`] instead.
-    fn run_auto(
-        &self,
-        config: &MachineConfig,
-        trace: &Trace,
-        graph: &DepGraph,
-        queries: &[Query],
-    ) -> (Vec<PlannedAnswer>, RunReport);
-}
-
-impl RunnerPlanExt for Runner {
-    fn plan<'a>(
-        &self,
-        config: &'a MachineConfig,
-        trace: &'a Trace,
-        warm_data: &'a [u64],
-        warm_code: &'a [u64],
-        graph: &'a DepGraph,
-    ) -> Planner<'a> {
-        Planner::new(self, config, trace, warm_data, warm_code, graph)
-    }
-
-    fn run_auto(
-        &self,
-        config: &MachineConfig,
-        trace: &Trace,
-        graph: &DepGraph,
-        queries: &[Query],
-    ) -> (Vec<PlannedAnswer>, RunReport) {
-        self.plan(config, trace, &[], &[], graph).plan(queries)
-    }
-}

@@ -7,13 +7,14 @@
 //!    from it verbatim. Those entries are ground truth (they were put
 //!    there by real simulations, possibly in an earlier process via the
 //!    disk layer), so the answer is exact and free.
-//! 2. **Graph** — everything else is evaluated through the lane-batched
-//!    [`LatticeGraphOracle`] in one prefetch wave, and each graph
-//!    answer is scored by the confidence model below.
+//! 2. **Graph** — everything else is evaluated through the runner's
+//!    [`Oracle`](uarch_runner::Oracle) on its graph [`Backend`] in one
+//!    lane-batched prefetch wave, and each graph answer is scored by
+//!    the confidence model below.
 //! 3. **Sim** — low-confidence graph answers are escalated as one
 //!    batched `run_warmed`-equivalent wave. Escalated answers are
 //!    bit-identical to [`Runner::run_warmed`] by construction: they go
-//!    through the same [`ParallelMultiSimOracle`] and the same shared
+//!    through the same oracle on its sim [`Backend`] and the same shared
 //!    cache. Each escalation also pairs the fresh ground truth against
 //!    the rejected graph answers, feeding the [`Calibrator`].
 //!
@@ -34,13 +35,10 @@
 
 use std::collections::HashSet;
 
-use icost::CostOracle;
 use uarch_graph::DepGraph;
-use uarch_obs::ledger::{unix_time_ms, CalibRecord, LedgerRecord, PlanRecord, RunHeader};
+use uarch_obs::ledger::{CalibRecord, LedgerRecord, PlanRecord};
 use uarch_obs::{Counter, Histogram, Registry};
-use uarch_runner::{
-    context_id, CachedOracle, ContextId, LatticeGraphOracle, Query, RunReport, Runner, SimCache,
-};
+use uarch_runner::{context_id, Backend, ContextId, Query, RunReport, Runner, SimCache};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Trace};
 
 use crate::calibrate::Calibrator;
@@ -251,6 +249,11 @@ fn query_classes(query: &Query) -> EventSet {
     }
 }
 
+/// The queries at `indices`, in order.
+fn select(queries: &[Query], indices: &[usize]) -> Vec<Query> {
+    indices.iter().map(|&i| queries[i].clone()).collect()
+}
+
 /// Registry-backed counters the planner updates (`plan.*` names; the
 /// serve layer renders them on `/metrics`).
 #[derive(Debug, Clone)]
@@ -413,11 +416,28 @@ impl<'a> Planner<'a> {
         )
     }
 
-    fn graph_oracle(&self, cache: SimCache) -> CachedOracle<LatticeGraphOracle<'a>> {
-        let inner = LatticeGraphOracle::new(self.graph)
-            .with_threads(self.runner.threads())
-            .with_context(self.graph_ctx);
-        CachedOracle::new(inner, self.graph_ctx, cache)
+    /// Answer `queries` on one backend as a single batch, returning the
+    /// answers and the batch's report.
+    fn answer(&self, backend: Backend<'a>, queries: &[Query]) -> (Vec<i64>, RunReport) {
+        let mut oracle = self.runner.oracle(backend);
+        let answers = oracle.run(queries);
+        (answers, oracle.report())
+    }
+
+    fn graph_backend(&self) -> Backend<'a> {
+        Backend::Graph {
+            graph: self.graph,
+            ctx: self.graph_ctx,
+        }
+    }
+
+    fn sim_backend(&self) -> Backend<'a> {
+        Backend::Sim {
+            config: self.config,
+            trace: self.trace,
+            warm_data: self.warm_data,
+            warm_code: self.warm_code,
+        }
     }
 
     /// Read `cost(set)` for both contexts out of the cache, if both
@@ -468,22 +488,11 @@ impl<'a> Planner<'a> {
     /// residual observations.
     pub fn calibrate(&mut self, sets: &[EventSet]) -> usize {
         let cache = self.runner.cache().clone();
-        let mut graph_oracle = self.graph_oracle(cache.clone());
-        graph_oracle.prefetch(sets);
-        for &set in sets {
-            let _ = graph_oracle.cost(set);
-        }
-        self.metrics.graph_evals.add(graph_oracle.report().sims_run);
-        let mut sim_oracle =
-            self.runner
-                .oracle_warmed(self.config, self.trace, self.warm_data, self.warm_code);
-        sim_oracle.prefetch(sets);
-        for &set in sets {
-            let _ = sim_oracle.cost(set);
-        }
-        self.metrics
-            .ground_truth_sims
-            .add(sim_oracle.report().sims_run);
+        let queries: Vec<Query> = sets.iter().map(|&set| Query::Cost(set)).collect();
+        let (_, graph_report) = self.answer(self.graph_backend(), &queries);
+        self.metrics.graph_evals.add(graph_report.sims_run);
+        let (_, sim_report) = self.answer(self.sim_backend(), &queries);
+        self.metrics.ground_truth_sims.add(sim_report.sims_run);
         let observed = self.observe_residuals(&cache, sets);
         let _ = uarch_obs::ledger::global().flush();
         observed
@@ -518,16 +527,10 @@ impl<'a> Planner<'a> {
         let mut graph_values = vec![0i64; queries.len()];
         let mut graph_report = None;
         if !pending.is_empty() && !refuted {
-            let mut graph_oracle = self.graph_oracle(cache.clone());
-            let wanted: Vec<EventSet> = pending
-                .iter()
-                .flat_map(|&i| queries[i].required_sets())
-                .collect();
-            graph_oracle.prefetch(&wanted);
-            for &i in &pending {
-                graph_values[i] = queries[i].answer(&mut graph_oracle);
+            let (values, report) = self.answer(self.graph_backend(), &select(queries, &pending));
+            for (&i, value) in pending.iter().zip(values) {
+                graph_values[i] = value;
             }
-            let report = graph_oracle.report().clone();
             self.metrics.graph_evals.add(report.sims_run);
             graph_report = Some(report);
         }
@@ -557,37 +560,15 @@ impl<'a> Planner<'a> {
             .filter(|&i| cache_complete[i] || assessments[i].is_some_and(|a| a.escalate))
             .collect();
         let mut sim_values = vec![0i64; queries.len()];
-        let mut sim_oracle =
-            self.runner
-                .oracle_warmed(self.config, self.trace, self.warm_data, self.warm_code);
-        if let Some(run) = sim_oracle.ledger_run_id() {
-            ledger.append(&LedgerRecord::Run(RunHeader {
-                run,
-                ctx: sim_oracle.context().to_string(),
-                queries: sim_indices.len() as u64,
-                threads: self.runner.threads() as u64,
-                insts: self.trace.len() as u64,
-                ts_ms: unix_time_ms(),
-                // Stamped by Ledger::append from the causal context.
-                trace: String::new(),
-            }));
-        }
         let escalated_sets: Vec<EventSet> = sim_indices
             .iter()
             .filter(|&&i| !cache_complete[i])
             .flat_map(|&i| queries[i].required_sets())
             .collect();
-        if !sim_indices.is_empty() {
-            let wanted: Vec<EventSet> = sim_indices
-                .iter()
-                .flat_map(|&i| queries[i].required_sets())
-                .collect();
-            sim_oracle.prefetch(&wanted);
-            for &i in &sim_indices {
-                sim_values[i] = queries[i].answer(&mut sim_oracle);
-            }
+        let (values, mut report) = self.answer(self.sim_backend(), &select(queries, &sim_indices));
+        for (&i, value) in sim_indices.iter().zip(values) {
+            sim_values[i] = value;
         }
-        let mut report = sim_oracle.take_report();
         self.metrics.ground_truth_sims.add(report.sims_run);
         if let Some(graph_report) = &graph_report {
             report.absorb(graph_report);

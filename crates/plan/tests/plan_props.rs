@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use uarch_graph::DepGraph;
-use uarch_plan::{PlanConfig, PlanProvenance, RunnerPlanExt};
+use uarch_plan::{PlanConfig, PlanProvenance, Planner};
 use uarch_runner::{Query, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, Trace, TraceBuilder};
@@ -74,7 +74,7 @@ proptest! {
         let runner = Runner::new().with_threads(2);
         let baseline = Simulator::new(&cfg).run(&trace, Idealization::none());
         let graph = DepGraph::build(&trace, &baseline, &cfg);
-        let (planned, _) = runner.run_auto(&cfg, &trace, &graph, &queries);
+        let (planned, _) = Planner::new(&runner, &cfg, &trace, &[], &[], &graph).plan(&queries);
 
         // Ground truth from an independent runner (fresh cache), so the
         // comparison cannot be satisfied by shared state.
@@ -109,8 +109,7 @@ proptest! {
         let runner = Runner::new().with_threads(2);
         let baseline = Simulator::new(&cfg).run(&trace, Idealization::none());
         let graph = DepGraph::build(&trace, &baseline, &cfg);
-        let mut planner = runner
-            .plan(&cfg, &trace, &[], &[], &graph)
+        let mut planner = Planner::new(&runner, &cfg, &trace, &[], &[], &graph)
             .with_config(PlanConfig {
                 confidence_threshold: 1.1,
                 min_samples: 1,

@@ -5,7 +5,7 @@
 //! otherwise fully calibrated and would have been trusted.
 
 use uarch_graph::DepGraph;
-use uarch_plan::{PlanConfig, PlanProvenance, PlanReason, RunnerPlanExt};
+use uarch_plan::{PlanConfig, PlanProvenance, PlanReason, Planner};
 use uarch_runner::{Query, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, TraceBuilder};
@@ -22,9 +22,8 @@ fn refuted_contexts_force_ground_truth() {
     let baseline = Simulator::new(&config).run(&trace, Idealization::none());
     let graph = DepGraph::build(&trace, &baseline, &config);
     let runner = Runner::new();
-    let mut planner = runner
-        .plan(&config, &trace, &[], &[], &graph)
-        .with_config(PlanConfig {
+    let mut planner =
+        Planner::new(&runner, &config, &trace, &[], &[], &graph).with_config(PlanConfig {
             min_samples: 1,
             ..PlanConfig::default()
         });

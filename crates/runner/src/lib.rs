@@ -19,11 +19,11 @@
 //! * [`Runner`] / [`Query`] — batch front door: expand queries into the
 //!   minimal distinct job set, execute in one parallel wave, answer from
 //!   cache;
-//! * [`ParallelMultiSimOracle`] — a drop-in [`CostOracle`] whose
-//!   [`prefetch`](icost::CostOracle::prefetch) runs deduplicated waves in
-//!   parallel, bit-identical to the serial `MultiSimOracle`;
-//! * [`CachedOracle`] — content-addressed memoization around any inner
-//!   oracle;
+//! * [`Oracle`] / [`Backend`] — the one [`CostOracle`], built by
+//!   [`Runner::oracle`]: the same dedup, cache, telemetry and ledger path
+//!   over either ground-truth re-simulation (bit-identical to the serial
+//!   `MultiSimOracle`) or the lane-batched dependence-graph kernel
+//!   (bit-identical to `GraphOracle`);
 //! * [`SimCache`] / [`ContextId`] — the shared, optionally disk-backed
 //!   result store keyed by content fingerprints;
 //! * [`RunReport`] — telemetry (jobs, dedups, hits, sims, wall time)
@@ -41,7 +41,6 @@
 
 mod cache;
 mod fingerprint;
-mod lattice;
 mod oracle;
 mod pool;
 mod report;
@@ -49,8 +48,7 @@ mod run;
 
 pub use cache::{SimCache, CACHE_MAX_AGE_ENV, CACHE_MAX_BYTES_ENV};
 pub use fingerprint::{context_id, graph_context_id, ContextId, StableHasher};
-pub use lattice::LatticeGraphOracle;
-pub use oracle::{CachedOracle, ParallelMultiSimOracle};
+pub use oracle::{Backend, Oracle};
 pub use pool::{default_threads, parallel_map};
 pub use report::RunReport;
 pub use run::{Query, Runner};

@@ -1,131 +1,273 @@
-//! `CostOracle`-compatible front-ends over the job engine.
+//! [`Oracle`] — the runner's one `cost(S)` oracle, over either
+//! ground-truth re-simulation or the dependence graph.
 //!
-//! [`ParallelMultiSimOracle`] is a drop-in replacement for the serial
-//! [`MultiSimOracle`](icost::MultiSimOracle): identical `cost(S)` values
-//! (both run the same deterministic simulator), but queries hinted through
-//! [`CostOracle::prefetch`] are expanded into one deduplicated wave of
-//! jobs executed across worker threads, and every result lands in a
-//! shared content-addressed [`SimCache`].
+//! The paper measures one quantity, `cost(S) = t − t(S)`, two ways: by
+//! re-simulating with the events in `S` idealized (the ground truth), and
+//! by idealizing the matching edges of the dependence graph (§3). An
+//! oracle does everything around that measurement the same way for both
+//! [`Backend`]s:
 //!
-//! Telemetry lives in a registry-backed [`Metrics`] block — atomic
-//! counters the parallel waves update directly — and [`report`] snapshots
-//! it into the familiar [`RunReport`] view. Each simulation also returns
-//! its [`PipelineStalls`], which accumulate per-cause into
-//! `sim.stall.*` counters so a breakdown run can print what the simulated
-//! machine was doing alongside the icost numbers.
+//! * a [`ContextId`] naming what the answers depend on;
+//! * probe-then-dedup of requested sets against the shared [`SimCache`] —
+//!   the only memo, so oracles over equal contexts (or, with a disk
+//!   cache, later processes) reuse each other's answers;
+//! * one [`parallel_map`] wave over the residue: simulation jobs, or lane
+//!   groups of at most [`MAX_LANES`] sets swept by the graph kernel
+//!   ([`DepGraph::eval_many_with`], bit-identical to per-set
+//!   [`DepGraph::evaluate`]);
+//! * `runner.*`/`sim.stall.*` counters, viewed as a [`RunReport`], plus
+//!   `graph.*` lane counters on the graph backend;
+//! * one run-header record and one job record per answered set in the
+//!   run ledger, with the stable result hash the `icost-obs diff`
+//!   regression gate compares.
 //!
-//! [`CachedOracle`] adds the same content-addressed caching to *any*
-//! inner oracle (e.g. a `GraphOracle`), so repeated breakdowns over equal
-//! inputs skip even graph re-evaluation.
-//!
-//! [`report`]: ParallelMultiSimOracle::report
+//! Only the evaluation step branches on the backend. The graph's `∅`
+//! baseline is one scalar [`DepGraph::evaluate`] on a cache miss: not a
+//! lane, not a counted evaluation, and not a ledgered job.
 
 use std::hash::{Hash, Hasher};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use icost::CostOracle;
-use uarch_obs::ledger::{JobRecord, Ledger, LedgerRecord, Provenance};
-use uarch_obs::{global, Registry};
+use uarch_graph::{DepGraph, LaneScratch, MAX_LANES};
+use uarch_obs::ledger::{unix_time_ms, JobRecord, Ledger, LedgerRecord, Provenance, RunHeader};
+use uarch_obs::{global, Counter, Registry};
 use uarch_sim::{EngineStats, Idealization, PipelineStalls, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
 use crate::cache::SimCache;
-use crate::fingerprint::{context_id, ContextId, StableHasher};
-use crate::pool::{default_threads, parallel_map};
+use crate::fingerprint::{context_id, graph_context_id, ContextId, StableHasher};
+use crate::pool::parallel_map;
 use crate::report::{Metrics, RunReport};
+use crate::run::Query;
 
 /// Stable fingerprint of one job's answer: equal `(set, cycles)` pairs
 /// hash equally across runs, machines, and cache tiers — the identity
 /// the `icost-obs diff` regression gate compares.
-pub(crate) fn result_hash(set: EventSet, cycles: u64) -> String {
+fn result_hash(set: EventSet, cycles: u64) -> String {
     let mut h = StableHasher::default();
     set.bits().hash(&mut h);
     cycles.hash(&mut h);
     format!("{:016x}", h.finish())
 }
 
-/// A parallel, memoized multi-simulation oracle over one
-/// `(trace, config, warm sets)` context.
+/// Where an [`Oracle`]'s `t(S)` values come from.
+#[derive(Debug, Clone, Copy)]
+pub enum Backend<'a> {
+    /// Ground truth: re-simulate `trace` on `config` with `S` idealized,
+    /// after touching `warm_data`/`warm_code` (empty for a cold machine).
+    /// Answers are keyed by [`context_id`].
+    Sim {
+        /// The simulated machine.
+        config: &'a MachineConfig,
+        /// The trace under analysis.
+        trace: &'a Trace,
+        /// Data addresses warmed before timing.
+        warm_data: &'a [u64],
+        /// Code addresses warmed before timing.
+        warm_code: &'a [u64],
+    },
+    /// The dependence graph with `S`'s edges idealized, answers keyed by
+    /// `ctx`: [`graph_context_id`] for the graph's content, or the
+    /// producing simulation context tagged `"graph"`.
+    Graph {
+        /// The graph under analysis.
+        graph: &'a DepGraph,
+        /// The cache key for this graph's answers.
+        ctx: ContextId,
+    },
+}
+
+impl<'a> Backend<'a> {
+    /// Re-simulation on a cold machine (no warm sets).
+    pub fn sim(config: &'a MachineConfig, trace: &'a Trace) -> Backend<'a> {
+        Backend::Sim {
+            config,
+            trace,
+            warm_data: &[],
+            warm_code: &[],
+        }
+    }
+
+    /// The graph kernel, keyed by the graph's content.
+    pub fn graph(graph: &'a DepGraph) -> Backend<'a> {
+        Backend::Graph {
+            graph,
+            ctx: graph_context_id(graph),
+        }
+    }
+
+    fn context(&self) -> ContextId {
+        match *self {
+            Backend::Sim {
+                config,
+                trace,
+                warm_data,
+                warm_code,
+            } => context_id(config, trace, warm_data, warm_code),
+            Backend::Graph { ctx, .. } => ctx,
+        }
+    }
+
+    fn insts(&self) -> usize {
+        match self {
+            Backend::Sim { trace, .. } => trace.len(),
+            Backend::Graph { graph, .. } => graph.len(),
+        }
+    }
+
+    /// Whether evaluating `set` is a job (counted and ledgered). Only
+    /// the graph's scalar `∅` baseline is not.
+    fn is_job(&self, set: EventSet) -> bool {
+        !set.is_empty() || matches!(self, Backend::Sim { .. })
+    }
+}
+
+/// Live `graph.*` counters (graph backend only).
 #[derive(Debug)]
-pub struct ParallelMultiSimOracle<'a> {
-    config: &'a MachineConfig,
-    trace: &'a Trace,
-    warm_data: &'a [u64],
-    warm_code: &'a [u64],
+struct LaneMetrics {
+    registry: Registry,
+    /// Subsets answered by the lane kernel.
+    lanes: Counter,
+    /// Kernel passes over the instruction stream (one per lane group).
+    sweeps: Counter,
+    requested: Counter,
+    deduped: Counter,
+    /// Sets answered from the cache instead of the kernel.
+    memo_hits: Counter,
+    evaluated: Counter,
+    eval_wall_us: Counter,
+}
+
+impl LaneMetrics {
+    fn new() -> LaneMetrics {
+        let registry = Registry::new();
+        LaneMetrics {
+            lanes: registry.counter("graph.lanes"),
+            sweeps: registry.counter("graph.sweeps"),
+            requested: registry.counter("graph.batch.requested"),
+            deduped: registry.counter("graph.batch.deduped"),
+            memo_hits: registry.counter("graph.batch.memo_hits"),
+            evaluated: registry.counter("graph.batch.evaluated"),
+            eval_wall_us: registry.counter("graph.batch.eval_wall_us"),
+            registry,
+        }
+    }
+}
+
+/// One evaluated set: `t(S)`, how long it took, and on the sim backend
+/// the run's stall and run-loop telemetry.
+struct Eval {
+    cycles: u64,
+    wall: Duration,
+    sim: Option<(PipelineStalls, EngineStats)>,
+}
+
+/// A batched, memoized [`CostOracle`] over one [`Backend`]; build it
+/// with [`Runner::oracle`](crate::Runner::oracle).
+#[derive(Debug)]
+pub struct Oracle<'a> {
+    backend: Backend<'a>,
     ctx: ContextId,
     threads: usize,
     cache: SimCache,
     metrics: Metrics,
+    lanes: LaneMetrics,
+    /// Lane buffers reused by whichever wave worker gets the lock.
+    scratch: Mutex<LaneScratch>,
     ledger: Ledger,
     /// Run id under which this oracle's jobs are ledgered; `None` when
-    /// the global ledger is disabled (the off path never reaches the
-    /// ledger again).
+    /// the global ledger is off (the off path never reaches it again).
     ledger_run: Option<u64>,
+    header_written: bool,
 }
 
-impl<'a> ParallelMultiSimOracle<'a> {
-    /// An oracle over a cold machine (no cache/TLB warmup), with its own
-    /// private in-memory cache and one worker per core.
-    pub fn new(config: &'a MachineConfig, trace: &'a Trace) -> ParallelMultiSimOracle<'a> {
-        ParallelMultiSimOracle::warmed(config, trace, &[], &[])
-    }
-
-    /// An oracle whose every simulation pre-touches `warm_data` /
-    /// `warm_code` (steady-state measurement, as `run_warmed`).
-    pub fn warmed(
-        config: &'a MachineConfig,
-        trace: &'a Trace,
-        warm_data: &'a [u64],
-        warm_code: &'a [u64],
-    ) -> ParallelMultiSimOracle<'a> {
-        let threads = default_threads();
+impl<'a> Oracle<'a> {
+    pub(crate) fn new(backend: Backend<'a>, threads: usize, cache: SimCache) -> Oracle<'a> {
         let ledger = uarch_obs::ledger::global().clone();
         let ledger_run =
             (ledger.is_enabled() || ledger.has_subscribers()).then(|| ledger.next_run_id());
-        ParallelMultiSimOracle {
-            config,
-            trace,
-            warm_data,
-            warm_code,
-            ctx: context_id(config, trace, warm_data, warm_code),
+        Oracle {
+            ctx: backend.context(),
+            backend,
             threads,
-            cache: SimCache::new(),
+            cache,
             metrics: Metrics::new(threads),
+            lanes: LaneMetrics::new(),
+            scratch: Mutex::new(LaneScratch::new()),
             ledger,
             ledger_run,
+            header_written: false,
         }
     }
 
-    /// Cap (or raise) the worker count for parallel waves.
-    pub fn with_threads(mut self, threads: usize) -> ParallelMultiSimOracle<'a> {
-        self.threads = threads.max(1);
-        self.metrics.threads.set(self.threads as i64);
-        self
-    }
-
-    /// Share `cache` instead of the private one: oracles over equal
-    /// contexts then reuse each other's simulations, and a disk-backed
-    /// cache persists them across processes.
-    pub fn with_cache(mut self, cache: SimCache) -> ParallelMultiSimOracle<'a> {
-        self.cache = cache;
-        self
-    }
-
-    /// This oracle's simulation-context fingerprint.
+    /// The cache key this oracle's answers live under.
     pub fn context(&self) -> ContextId {
         self.ctx
     }
 
-    /// The run id this oracle's jobs are ledgered under, when the
-    /// global run ledger is enabled. `Runner::run` writes the matching
-    /// run-header record.
-    pub fn ledger_run_id(&self) -> Option<u64> {
+    /// The run id this oracle's records are ledgered under, when the
+    /// global run ledger is on.
+    pub(crate) fn ledger_run_id(&self) -> Option<u64> {
         self.ledger_run
     }
 
-    /// Append one job record to the run ledger (no-op when disabled).
+    /// The live `runner.*`/`sim.stall.*` registry (includes the
+    /// per-evaluation cycle histogram the [`RunReport`] view omits).
+    pub(crate) fn metrics(&self) -> &Registry {
+        self.metrics.registry()
+    }
+
+    /// The live `graph.*` registry (lane and sweep counts; zero on the
+    /// sim backend).
+    pub fn graph_metrics(&self) -> &Registry {
+        &self.lanes.registry
+    }
+
+    /// A snapshot of the telemetry accumulated so far.
+    pub fn report(&self) -> RunReport {
+        self.metrics.report()
+    }
+
+    /// Answer `queries` as one batch: write the run header, push every
+    /// required set through one deduplicated prefetch wave, then answer
+    /// each query from the cache, in query order.
+    pub fn run(&mut self, queries: &[Query]) -> Vec<i64> {
+        self.ensure_header(queries.len());
+        if queries.is_empty() {
+            return Vec::new();
+        }
+        let wanted: Vec<EventSet> = {
+            let _sp = global().span("runner", "expand");
+            queries.iter().flat_map(Query::required_sets).collect()
+        };
+        self.prefetch(&wanted);
+        queries.iter().map(|q| q.answer(self)).collect()
+    }
+
+    /// Write this oracle's run-header record once, before its first job
+    /// record, so ledger readers can group and context-match the jobs.
+    fn ensure_header(&mut self, queries: usize) {
+        let Some(run) = self.ledger_run else { return };
+        if std::mem::replace(&mut self.header_written, true) {
+            return;
+        }
+        self.ledger.append(&LedgerRecord::Run(RunHeader {
+            run,
+            ctx: self.ctx.to_string(),
+            queries: queries as u64,
+            threads: self.threads as u64,
+            insts: self.backend.insts() as u64,
+            ts_ms: unix_time_ms(),
+            // Stamped by Ledger::append from the causal context.
+            trace: String::new(),
+        }));
+    }
+
+    /// Append one job record to the run ledger (no-op when off).
     fn ledger_job(
-        &self,
+        &mut self,
         set: EventSet,
         provenance: Provenance,
         cycles: u64,
@@ -133,6 +275,10 @@ impl<'a> ParallelMultiSimOracle<'a> {
         stalls: Option<&PipelineStalls>,
     ) {
         let Some(run) = self.ledger_run else { return };
+        if !self.backend.is_job(set) {
+            return;
+        }
+        self.ensure_header(0);
         let stalls = stalls
             .map(|s| {
                 s.rows()
@@ -155,101 +301,131 @@ impl<'a> ParallelMultiSimOracle<'a> {
         }));
     }
 
-    /// The live metrics registry the oracle's counters live in
-    /// (`runner.*` and `sim.stall.*` names; includes the per-simulation
-    /// cycle histogram the [`RunReport`] view omits).
-    pub fn metrics(&self) -> &Registry {
-        self.metrics.registry()
-    }
-
-    /// A snapshot of the telemetry accumulated so far.
-    pub fn report(&self) -> RunReport {
-        self.metrics.report()
-    }
-
-    /// Take the telemetry, resetting the counters.
-    pub fn take_report(&mut self) -> RunReport {
-        let report = self.metrics.report();
-        self.metrics.reset();
-        report
-    }
-
-    /// Probe the cache, under a span so cache latency shows in traces.
-    fn probe(&self, set: EventSet) -> (Option<u64>, bool) {
-        let _sp = global().span("runner", "cache.probe");
-        self.cache.get(self.ctx, set)
-    }
-
-    /// Count one cache answer against the tier that served it.
-    fn count_hit(&self, from_disk: bool) {
-        if from_disk {
+    /// `t(set)` from the cache, counted against the tier that served it.
+    fn lookup(&mut self, set: EventSet) -> Option<u64> {
+        let start = Instant::now();
+        let (hit, from_disk) = {
+            let _sp = global().span("runner", "cache.probe");
+            self.cache.get(self.ctx, set)
+        };
+        let cycles = hit?;
+        let tier = if from_disk {
             self.metrics.disk_hits.inc();
+            Provenance::Disk
         } else {
             self.metrics.cache_hits.inc();
-        }
-    }
-
-    fn simulate(&self, set: EventSet) -> (u64, PipelineStalls, EngineStats) {
-        let tracer = global();
-        let _sp = if tracer.is_enabled() {
-            tracer.span_with("runner", "sim", vec![("set", set.to_string())])
-        } else {
-            tracer.span("runner", "sim")
+            Provenance::Memory
         };
-        let r = Simulator::new(self.config).run_warmed(
-            self.trace,
-            Idealization::from(set),
-            self.warm_data,
-            self.warm_code,
-        );
-        (r.cycles, r.stalls, r.engine)
+        self.ledger_job(set, tier, cycles, start.elapsed(), None);
+        Some(cycles)
     }
 
-    /// Book one executed simulation: counters, stall taxonomy, cache.
-    fn record_sim(
-        &self,
-        set: EventSet,
-        cycles: u64,
-        stalls: &PipelineStalls,
-        engine: &EngineStats,
-    ) {
-        self.metrics.sims_run.inc();
-        self.metrics.cycles_simulated.add(cycles);
-        self.metrics.insts_simulated.add(self.trace.len() as u64);
-        self.metrics.sim_cycles.record(cycles);
-        self.metrics.absorb_stalls(stalls);
-        self.metrics.absorb_engine(engine);
-        self.cache.insert(self.ctx, set, cycles);
-    }
-
-    /// Cycles under idealization of `set`, via cache or simulation.
+    /// `t(set)` via the cache or a one-job wave.
     fn cycles(&mut self, set: EventSet) -> u64 {
         self.metrics.jobs_requested.inc();
-        let probe_start = self.ledger_run.map(|_| Instant::now());
-        let (hit, from_disk) = self.probe(set);
-        if let Some(cycles) = hit {
-            self.count_hit(from_disk);
-            if let Some(start) = probe_start {
-                let tier = if from_disk {
-                    Provenance::Disk
-                } else {
-                    Provenance::Memory
-                };
-                self.ledger_job(set, tier, cycles, start.elapsed(), None);
-            }
-            return cycles;
+        match self.lookup(set) {
+            Some(cycles) => cycles,
+            None => self.wave(&[set])[0],
         }
+    }
+
+    /// Evaluate `jobs` (distinct, uncached) in one parallel wave, then
+    /// cache, count and ledger every answer. Returns `t(S)` per job.
+    fn wave(&mut self, jobs: &[EventSet]) -> Vec<u64> {
+        let tracer = global();
         let start = Instant::now();
-        let (cycles, stalls, engine) = self.simulate(set);
-        let wall = start.elapsed();
-        Metrics::add_wall(&self.metrics.sim_wall_us, wall);
-        self.record_sim(set, cycles, &stalls, &engine);
-        self.ledger_job(set, Provenance::Computed, cycles, wall, Some(&stalls));
-        cycles
+        let evals = {
+            let _wave = if tracer.is_enabled() {
+                tracer.span_with("runner", "wave", vec![("jobs", jobs.len().to_string())])
+            } else {
+                tracer.span("runner", "wave")
+            };
+            self.evaluate(jobs)
+        };
+        Metrics::add_wall(&self.metrics.sim_wall_us, start.elapsed());
+        for (&set, eval) in jobs.iter().zip(&evals) {
+            self.cache.insert(self.ctx, set, eval.cycles);
+            if !self.backend.is_job(set) {
+                continue;
+            }
+            let m = &self.metrics;
+            m.sims_run.inc();
+            m.cycles_simulated.add(eval.cycles);
+            m.insts_simulated.add(self.backend.insts() as u64);
+            m.sim_cycles.record(eval.cycles);
+            if let Some((stalls, engine)) = &eval.sim {
+                m.absorb_stalls(stalls);
+                m.absorb_engine(engine);
+            }
+            let stalls = eval.sim.as_ref().map(|(stalls, _)| stalls);
+            self.ledger_job(set, Provenance::Computed, eval.cycles, eval.wall, stalls);
+        }
+        evals.iter().map(|e| e.cycles).collect()
+    }
+
+    /// The one backend-specific step: `t(S)` for each of `jobs`.
+    fn evaluate(&self, jobs: &[EventSet]) -> Vec<Eval> {
+        match self.backend {
+            Backend::Sim {
+                config,
+                trace,
+                warm_data,
+                warm_code,
+            } => parallel_map(jobs, self.threads, |&set| {
+                let tracer = global();
+                let _sp = if tracer.is_enabled() {
+                    tracer.span_with("runner", "sim", vec![("set", set.to_string())])
+                } else {
+                    tracer.span("runner", "sim")
+                };
+                let start = Instant::now();
+                let r = Simulator::new(config).run_warmed(
+                    trace,
+                    Idealization::from(set),
+                    warm_data,
+                    warm_code,
+                );
+                Eval {
+                    cycles: r.cycles,
+                    wall: start.elapsed(),
+                    sim: Some((r.stalls, r.engine)),
+                }
+            }),
+            Backend::Graph { graph, .. } => {
+                let lanes: Vec<EventSet> = jobs.iter().copied().filter(|s| !s.is_empty()).collect();
+                let groups: Vec<&[EventSet]> = lanes.chunks(MAX_LANES).collect();
+                let start = Instant::now();
+                let times = parallel_map(&groups, self.threads, |group| {
+                    match self.scratch.try_lock() {
+                        Ok(mut scratch) => graph.eval_many_with(group, &mut scratch),
+                        Err(_) => graph.eval_many(group),
+                    }
+                })
+                .concat();
+                let wall = start.elapsed();
+                self.lanes.lanes.add(lanes.len() as u64);
+                self.lanes.evaluated.add(lanes.len() as u64);
+                self.lanes.sweeps.add(groups.len() as u64);
+                Metrics::add_wall(&self.lanes.eval_wall_us, wall);
+                let per_lane = wall / (lanes.len() as u32).max(1);
+                let mut times = times.into_iter();
+                jobs.iter()
+                    .map(|set| Eval {
+                        cycles: if set.is_empty() {
+                            graph.evaluate(EventSet::EMPTY)
+                        } else {
+                            times.next().expect("one time per lane")
+                        },
+                        wall: per_lane,
+                        sim: None,
+                    })
+                    .collect()
+            }
+        }
     }
 }
 
-impl CostOracle for ParallelMultiSimOracle<'_> {
+impl CostOracle for Oracle<'_> {
     fn cost(&mut self, set: EventSet) -> i64 {
         self.metrics.queries.inc();
         if set.is_empty() {
@@ -264,169 +440,42 @@ impl CostOracle for ParallelMultiSimOracle<'_> {
         self.cycles(EventSet::EMPTY)
     }
 
-    /// Expand `sets` into the minimal set of uncached distinct jobs
-    /// (always including the `∅` baseline) and execute them as one
-    /// parallel wave with deterministic result placement.
+    /// Expand `sets` into the distinct uncached residue (always
+    /// including the `∅` baseline) and evaluate it as one wave.
     fn prefetch(&mut self, sets: &[EventSet]) {
-        let tracer = global();
         let expand_start = Instant::now();
         let mut jobs: Vec<EventSet> = Vec::with_capacity(sets.len() + 1);
+        let (mut deduped, mut hits) = (0, 0);
         {
-            let _dedup = tracer.span("runner", "dedup");
+            let _dedup = global().span("runner", "dedup");
             for &set in std::iter::once(&EventSet::EMPTY).chain(sets) {
-                self.metrics.jobs_requested.inc();
                 if jobs.contains(&set) {
-                    self.metrics.jobs_deduped.inc();
-                    continue;
-                }
-                let probe_start = self.ledger_run.map(|_| Instant::now());
-                let (hit, from_disk) = self.probe(set);
-                if let Some(cycles) = hit {
-                    self.count_hit(from_disk);
-                    if let Some(start) = probe_start {
-                        let tier = if from_disk {
-                            Provenance::Disk
-                        } else {
-                            Provenance::Memory
-                        };
-                        self.ledger_job(set, tier, cycles, start.elapsed(), None);
-                    }
+                    deduped += 1;
+                } else if self.lookup(set).is_some() {
+                    hits += 1;
                 } else {
                     jobs.push(set);
                 }
             }
         }
+        self.metrics.jobs_requested.add(sets.len() as u64 + 1);
+        self.metrics.jobs_deduped.add(deduped);
+        if matches!(self.backend, Backend::Graph { .. }) {
+            self.lanes.requested.add(sets.len() as u64);
+            self.lanes.deduped.add(deduped);
+            self.lanes.memo_hits.add(hits);
+        }
         Metrics::add_wall(&self.metrics.expand_wall_us, expand_start.elapsed());
-        if jobs.is_empty() {
-            return;
+        if !jobs.is_empty() {
+            self.wave(&jobs);
         }
-
-        let sim_start = Instant::now();
-        let results = {
-            let _wave = if tracer.is_enabled() {
-                tracer.span_with("runner", "wave", vec![("jobs", jobs.len().to_string())])
-            } else {
-                tracer.span("runner", "wave")
-            };
-            parallel_map(&jobs, self.threads, |&set| {
-                let job_start = Instant::now();
-                let (cycles, stalls, engine) = self.simulate(set);
-                (cycles, stalls, engine, job_start.elapsed())
-            })
-        };
-        Metrics::add_wall(&self.metrics.sim_wall_us, sim_start.elapsed());
-        for (&set, (cycles, stalls, engine, wall)) in jobs.iter().zip(&results) {
-            self.record_sim(set, *cycles, stalls, engine);
-            self.ledger_job(set, Provenance::Computed, *cycles, *wall, Some(stalls));
-        }
-    }
-}
-
-/// Content-addressed caching around any inner [`CostOracle`].
-///
-/// The wrapper stores `t(S) = baseline − cost(S)` under the caller's
-/// [`ContextId`], so equal analyses in later oracles (or later processes,
-/// with a disk-backed [`SimCache`]) are answered without touching the
-/// inner oracle at all. `cost(S)` values are bit-identical to the inner
-/// oracle's by construction.
-#[derive(Debug)]
-pub struct CachedOracle<O> {
-    inner: O,
-    ctx: ContextId,
-    cache: SimCache,
-    report: RunReport,
-}
-
-impl<O: CostOracle> CachedOracle<O> {
-    /// Wrap `inner`, keying cache entries by `ctx`.
-    ///
-    /// `ctx` must identify everything the inner oracle's answers depend
-    /// on — build it with [`context_id`](crate::context_id) from the
-    /// trace/config/warm sets the inner oracle observes.
-    pub fn new(inner: O, ctx: ContextId, cache: SimCache) -> CachedOracle<O> {
-        CachedOracle {
-            inner,
-            ctx,
-            cache,
-            report: RunReport::new(1),
-        }
-    }
-
-    /// Telemetry accumulated so far.
-    pub fn report(&self) -> &RunReport {
-        &self.report
-    }
-
-    /// The wrapped oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
-    /// Count one cache answer against the tier that served it.
-    fn count_hit(&mut self, from_disk: bool) {
-        if from_disk {
-            self.report.disk_hits += 1;
-        } else {
-            self.report.cache_hits += 1;
-        }
-    }
-}
-
-impl<O: CostOracle> CostOracle for CachedOracle<O> {
-    fn cost(&mut self, set: EventSet) -> i64 {
-        self.report.queries += 1;
-        if set.is_empty() {
-            return 0;
-        }
-        self.report.jobs_requested += 1;
-        let base = self.baseline_cycles() as i64;
-        let (hit, from_disk) = self.cache.get(self.ctx, set);
-        if let Some(cycles) = hit {
-            self.count_hit(from_disk);
-            return base - cycles as i64;
-        }
-        let cost = self.inner.cost(set);
-        self.report.sims_run += 1;
-        self.cache.insert(self.ctx, set, (base - cost) as u64);
-        cost
-    }
-
-    fn baseline(&mut self) -> u64 {
-        self.report.queries += 1;
-        self.baseline_cycles()
-    }
-
-    fn prefetch(&mut self, sets: &[EventSet]) {
-        // Forward the hint: a batched inner oracle still parallelizes the
-        // residue the cache cannot answer.
-        let uncached: Vec<EventSet> = sets
-            .iter()
-            .copied()
-            .filter(|&s| self.cache.get(self.ctx, s).0.is_none())
-            .collect();
-        if !uncached.is_empty() {
-            self.inner.prefetch(&uncached);
-        }
-    }
-}
-
-impl<O: CostOracle> CachedOracle<O> {
-    fn baseline_cycles(&mut self) -> u64 {
-        let (hit, from_disk) = self.cache.get(self.ctx, EventSet::EMPTY);
-        if let Some(cycles) = hit {
-            self.count_hit(from_disk);
-            return cycles;
-        }
-        let base = self.inner.baseline();
-        self.cache.insert(self.ctx, EventSet::EMPTY, base);
-        base
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icost::MultiSimOracle;
+    use crate::Runner;
     use uarch_trace::{EventClass, Reg, TraceBuilder};
 
     fn kernel(n: u64) -> Trace {
@@ -438,26 +487,21 @@ mod tests {
         b.finish()
     }
 
-    #[test]
-    fn matches_serial_multisim_exactly() {
-        let cfg = MachineConfig::table6();
-        let t = kernel(30);
-        let mut serial = MultiSimOracle::new(&cfg, &t);
-        let mut par = ParallelMultiSimOracle::new(&cfg, &t).with_threads(4);
-        let u = EventSet::from([EventClass::Dmiss, EventClass::Win, EventClass::Bmisp]);
-        let sets: Vec<EventSet> = u.subsets().collect();
-        par.prefetch(&sets);
-        for s in sets {
-            assert_eq!(par.cost(s), serial.cost(s), "cost({s}) diverged");
-        }
-        assert_eq!(par.baseline(), serial.baseline());
+    fn graph(cfg: &MachineConfig) -> DepGraph {
+        let t = kernel(60);
+        let res = Simulator::new(cfg).run(&t, Idealization::none());
+        DepGraph::build(&t, &res, cfg)
+    }
+
+    fn all_subsets() -> Vec<EventSet> {
+        (0u16..256).map(|b| EventSet::from_bits(b as u8)).collect()
     }
 
     #[test]
     fn prefetch_dedupes_and_caches() {
         let cfg = MachineConfig::table6();
         let t = kernel(10);
-        let mut par = ParallelMultiSimOracle::new(&cfg, &t).with_threads(2);
+        let mut par = Runner::new().with_threads(2).oracle(Backend::sim(&cfg, &t));
         let a = EventSet::single(EventClass::Dmiss);
         let b = EventSet::single(EventClass::Dl1);
         par.prefetch(&[a, b, a, b, a]);
@@ -478,7 +522,7 @@ mod tests {
     fn report_carries_stalls_and_registry_agrees() {
         let cfg = MachineConfig::table6();
         let t = kernel(20);
-        let mut par = ParallelMultiSimOracle::new(&cfg, &t).with_threads(2);
+        let mut par = Runner::new().with_threads(2).oracle(Backend::sim(&cfg, &t));
         let d = EventSet::single(EventClass::Dmiss);
         par.prefetch(&[d]);
         let r = par.report();
@@ -496,23 +540,16 @@ mod tests {
             snap.counter("sim.stall.load_mem_fill"),
             r.stalls.load_mem_fill
         );
-        // take_report drains: a second take sees zeros.
-        let taken = par.take_report();
-        assert_eq!(taken.sims_run, r.sims_run);
-        assert_eq!(par.report(), RunReport::new(2));
     }
 
     #[test]
     fn shared_cache_spans_oracle_instances() {
         let cfg = MachineConfig::table6();
         let t = kernel(10);
-        let cache = SimCache::new();
+        let runner = Runner::new();
         let s = EventSet::single(EventClass::Dmiss);
-        let first = {
-            let mut o = ParallelMultiSimOracle::new(&cfg, &t).with_cache(cache.clone());
-            o.cost(s)
-        };
-        let mut o2 = ParallelMultiSimOracle::new(&cfg, &t).with_cache(cache);
+        let first = runner.oracle(Backend::sim(&cfg, &t)).cost(s);
+        let mut o2 = runner.oracle(Backend::sim(&cfg, &t));
         assert_eq!(o2.cost(s), first);
         assert_eq!(o2.report().sims_run, 0, "second oracle never simulates");
         assert_eq!(o2.report().cache_hits, 2, "baseline and set both hit");
@@ -526,16 +563,16 @@ mod tests {
         let t = kernel(10);
         let s = EventSet::single(EventClass::Dmiss);
         {
-            let cache = SimCache::with_disk(&dir).expect("create");
-            let mut o = ParallelMultiSimOracle::new(&cfg, &t).with_cache(cache);
+            let runner = Runner::new().with_disk_cache(&dir).expect("create");
+            let mut o = runner.oracle(Backend::sim(&cfg, &t));
             let _ = o.cost(s);
             let r = o.report();
             assert_eq!((r.sims_run, r.disk_hits), (2, 0));
         }
         // A fresh process: same query, all answers from the disk tier —
         // and the reuse rate reflects that instead of reporting 0%.
-        let cache = SimCache::with_disk(&dir).expect("open");
-        let mut o2 = ParallelMultiSimOracle::new(&cfg, &t).with_cache(cache);
+        let runner = Runner::new().with_disk_cache(&dir).expect("open");
+        let mut o2 = runner.oracle(Backend::sim(&cfg, &t));
         let _ = o2.cost(s);
         let r = o2.report();
         assert_eq!(r.sims_run, 0);
@@ -546,26 +583,39 @@ mod tests {
     }
 
     #[test]
-    fn cached_oracle_is_transparent() {
+    fn metrics_count_lanes_and_sweeps() {
         let cfg = MachineConfig::table6();
-        let t = kernel(20);
-        let ctx = context_id(&cfg, &t, &[], &[]);
-        let mut plain = MultiSimOracle::new(&cfg, &t);
-        let mut cached = CachedOracle::new(MultiSimOracle::new(&cfg, &t), ctx, SimCache::new());
-        for c in EventClass::ALL {
-            let s = EventSet::single(c);
-            assert_eq!(cached.cost(s), plain.cost(s));
-        }
-        assert_eq!(cached.baseline(), plain.baseline());
-        // Re-query through a fresh wrapper sharing nothing: must recompute.
-        // Through a wrapper sharing the cache: must not.
-        let cache = SimCache::new();
-        let mut a = CachedOracle::new(MultiSimOracle::new(&cfg, &t), ctx, cache.clone());
-        let s = EventSet::single(EventClass::Dmiss);
-        let v = a.cost(s);
-        let mut b = CachedOracle::new(MultiSimOracle::new(&cfg, &t), ctx, cache);
-        assert_eq!(b.cost(s), v);
-        assert_eq!(b.report().sims_run, 0);
-        assert!(b.report().cache_hits >= 1);
+        let g = graph(&cfg);
+        let mut lattice = Runner::new().with_threads(1).oracle(Backend::graph(&g));
+        let sets = all_subsets();
+        lattice.prefetch(&sets);
+        let snap = lattice.graph_metrics().snapshot();
+        // 255 non-empty sets in 16 groups of ≤16 lanes; ∅ is no lane.
+        assert_eq!(snap.counter("graph.lanes"), 255);
+        assert_eq!(snap.counter("graph.sweeps"), 16);
+        assert_eq!(snap.counter("graph.batch.requested"), 256);
+        assert_eq!(snap.counter("graph.batch.evaluated"), 255);
+        assert_eq!(lattice.report().sims_run, 255);
+        // Re-prefetch: all cache hits (∅ twice: implied and listed), no
+        // new sweeps.
+        lattice.prefetch(&sets);
+        let snap = lattice.graph_metrics().snapshot();
+        assert_eq!(snap.counter("graph.sweeps"), 16);
+        assert_eq!(snap.counter("graph.batch.memo_hits"), 257);
+    }
+
+    // Ledger-record coverage lives in `tests/graph_ledger.rs` (it must
+    // own the process-wide ledger, which unit tests cannot).
+
+    #[test]
+    fn graph_context_is_content_addressed() {
+        let cfg = MachineConfig::table6();
+        let (a, b) = (graph(&cfg), graph(&cfg));
+        let ctx = |g| Backend::graph(g).context();
+        assert_eq!(ctx(&a), ctx(&b), "equal graphs share a context");
+        let mut insts = a.insts().to_vec();
+        insts[0].ep_dmiss += 1;
+        let c = DepGraph::from_parts(insts, *a.params());
+        assert_ne!(ctx(&a), ctx(&c), "changed content moves the context");
     }
 }

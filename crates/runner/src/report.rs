@@ -139,13 +139,6 @@ impl Metrics {
             },
         }
     }
-
-    /// Zero everything, keeping the thread gauge.
-    pub fn reset(&self) {
-        let threads = self.threads.get();
-        self.registry.reset();
-        self.threads.set(threads);
-    }
 }
 
 /// Counters and phase timings for one oracle / batch run.
@@ -480,10 +473,6 @@ mod tests {
         assert_eq!(r.cycles_simulated, 1234);
         assert_eq!(r.threads, 3);
         assert_eq!(r.stalls.load_mem_fill, 7);
-        m.reset();
-        let r2 = m.report();
-        assert_eq!(r2.sims_run, 0);
-        assert_eq!(r2.threads, 3, "reset keeps the thread gauge");
     }
 
     #[test]

@@ -16,14 +16,13 @@ use std::sync::{Mutex, OnceLock};
 use icost::{icost, icost_of_sets, CostOracle};
 use uarch_audit::{audit_attribution, AuditConfig};
 use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
-use uarch_obs::ledger::{unix_time_ms, LedgerRecord, RunHeader};
+use uarch_obs::ledger::LedgerRecord;
 use uarch_obs::CounterSampler;
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
 use crate::cache::SimCache;
-use crate::lattice::LatticeGraphOracle;
-use crate::oracle::{CachedOracle, ParallelMultiSimOracle};
+use crate::oracle::{Backend, Oracle};
 use crate::pool::default_threads;
 use crate::report::RunReport;
 
@@ -174,69 +173,16 @@ impl Runner {
         self.threads
     }
 
-    /// A parallel multi-sim oracle over `(config, trace)` wired to this
-    /// runner's cache and thread budget.
-    pub fn oracle<'a>(
-        &self,
-        config: &'a MachineConfig,
-        trace: &'a Trace,
-    ) -> ParallelMultiSimOracle<'a> {
-        self.oracle_warmed(config, trace, &[], &[])
+    /// A [`CostOracle`] over `backend`, wired to this runner's cache and
+    /// thread budget. Oracles over equal contexts share answers through
+    /// the cache, so repeated analyses skip both simulation and graph
+    /// sweeps.
+    pub fn oracle<'a>(&self, backend: Backend<'a>) -> Oracle<'a> {
+        Oracle::new(backend, self.threads, self.cache.clone())
     }
 
-    /// Like [`Runner::oracle`], with cache/TLB warmup sets (steady-state
-    /// measurement).
-    pub fn oracle_warmed<'a>(
-        &self,
-        config: &'a MachineConfig,
-        trace: &'a Trace,
-        warm_data: &'a [u64],
-        warm_code: &'a [u64],
-    ) -> ParallelMultiSimOracle<'a> {
-        ParallelMultiSimOracle::warmed(config, trace, warm_data, warm_code)
-            .with_threads(self.threads)
-            .with_cache(self.cache.clone())
-    }
-
-    /// A lane-batched dependence-graph oracle over `graph`, wired to this
-    /// runner's thread budget and wrapped in its content-addressed cache
-    /// (keyed by the graph-content fingerprint, tagged `"graph"`). Equal
-    /// graphs analyzed through the same runner — or a shared disk cache —
-    /// reuse each other's sweeps.
-    pub fn graph_oracle<'g>(&self, graph: &'g DepGraph) -> CachedOracle<LatticeGraphOracle<'g>> {
-        let inner = LatticeGraphOracle::new(graph).with_threads(self.threads);
-        let ctx = inner.context();
-        CachedOracle::new(inner, ctx, self.cache.clone())
-    }
-
-    /// [`Runner::run`] against a dependence graph instead of ground-truth
-    /// re-simulation: same query semantics and the same one-wave prefetch
-    /// expansion, with the answers produced by the lane-batched kernel
-    /// (bit-identical to per-set `DepGraph::evaluate`).
-    pub fn run_graph(&self, graph: &DepGraph, queries: &[Query]) -> (Vec<i64>, RunReport) {
-        let tracer = uarch_obs::global();
-        let _run_sp = if tracer.is_enabled() {
-            let mut args = vec![("queries", queries.len().to_string())];
-            if let Some(hex) = uarch_obs::causal::current_trace_hex() {
-                args.push(("trace", hex));
-            }
-            tracer.span_with("runner", "runner.run_graph", args)
-        } else {
-            tracer.span("runner", "runner.run_graph")
-        };
-        let mut oracle = self.graph_oracle(graph);
-        let wanted: Vec<EventSet> = {
-            let _sp = tracer.span("runner", "expand");
-            queries.iter().flat_map(Query::required_sets).collect()
-        };
-        oracle.prefetch(&wanted);
-        let answers = queries.iter().map(|q| q.answer(&mut oracle)).collect();
-        let report = oracle.report().clone();
-        let _ = uarch_obs::ledger::global().flush();
-        (answers, report)
-    }
-
-    /// Evaluate a batch of queries against one context.
+    /// Evaluate a batch of queries against one cold-machine simulation
+    /// context.
     ///
     /// All queries' required sets are expanded up front and pushed
     /// through a single deduplicated prefetch wave, so overlapping
@@ -249,7 +195,7 @@ impl Runner {
         trace: &Trace,
         queries: &[Query],
     ) -> (Vec<i64>, RunReport) {
-        self.run_warmed(config, trace, &[], &[], queries)
+        self.batch(Backend::sim(config, trace), queries)
     }
 
     /// [`Runner::run`] with warmup sets.
@@ -261,30 +207,42 @@ impl Runner {
         warm_code: &[u64],
         queries: &[Query],
     ) -> (Vec<i64>, RunReport) {
+        let backend = Backend::Sim {
+            config,
+            trace,
+            warm_data,
+            warm_code,
+        };
+        self.batch(backend, queries)
+    }
+
+    /// [`Runner::run`] against a dependence graph instead of ground-truth
+    /// re-simulation: same query semantics and the same one-wave prefetch
+    /// expansion, with the answers produced by the lane-batched kernel
+    /// (bit-identical to per-set `DepGraph::evaluate`) and keyed by the
+    /// graph's content.
+    pub fn run_graph(&self, graph: &DepGraph, queries: &[Query]) -> (Vec<i64>, RunReport) {
+        self.batch(Backend::graph(graph), queries)
+    }
+
+    /// One batch on any backend: the run span, counter sampling, the
+    /// oracle's batch, and (for simulation contexts) the audit hook.
+    fn batch(&self, backend: Backend, queries: &[Query]) -> (Vec<i64>, RunReport) {
         let tracer = uarch_obs::global();
+        let name = match backend {
+            Backend::Sim { .. } => "runner.run",
+            Backend::Graph { .. } => "runner.run_graph",
+        };
         let _run_sp = if tracer.is_enabled() {
             let mut args = vec![("queries", queries.len().to_string())];
             if let Some(hex) = uarch_obs::causal::current_trace_hex() {
                 args.push(("trace", hex));
             }
-            tracer.span_with("runner", "runner.run", args)
+            tracer.span_with("runner", name, args)
         } else {
-            tracer.span("runner", "runner.run")
+            tracer.span("runner", name)
         };
-        let mut oracle = self.oracle_warmed(config, trace, warm_data, warm_code);
-        let ledger = uarch_obs::ledger::global();
-        if let Some(run) = oracle.ledger_run_id() {
-            ledger.append(&LedgerRecord::Run(RunHeader {
-                run,
-                ctx: oracle.context().to_string(),
-                queries: queries.len() as u64,
-                threads: self.threads as u64,
-                insts: trace.len() as u64,
-                ts_ms: unix_time_ms(),
-                // Stamped by Ledger::append from the causal context.
-                trace: String::new(),
-            }));
-        }
+        let mut oracle = self.oracle(backend);
         let sampler = tracer.is_enabled().then(|| {
             CounterSampler::start(
                 tracer.clone(),
@@ -292,26 +250,28 @@ impl Runner {
                 CounterSampler::interval_from_env(),
             )
         });
-        let wanted: Vec<EventSet> = {
-            let _sp = tracer.span("runner", "expand");
-            queries.iter().flat_map(Query::required_sets).collect()
-        };
-        oracle.prefetch(&wanted);
-        let answers = queries.iter().map(|q| q.answer(&mut oracle)).collect();
-        // Stop sampling before take_report resets the registries, so the
-        // closing counter sample carries the run's final values, not zeros.
+        let answers = oracle.run(queries);
+        // Stop sampling before reading the report, so the closing counter
+        // sample carries the run's final values.
         drop(sampler);
-        self.maybe_audit(
+        if let Backend::Sim {
             config,
             trace,
             warm_data,
             warm_code,
-            &oracle.context().to_string(),
-            oracle.ledger_run_id(),
-        );
-        let report = oracle.take_report();
-        let _ = ledger.flush();
-        (answers, report)
+        } = backend
+        {
+            self.maybe_audit(
+                config,
+                trace,
+                warm_data,
+                warm_code,
+                &oracle.context().to_string(),
+                oracle.ledger_run_id(),
+            );
+        }
+        let _ = uarch_obs::ledger::global().flush();
+        (answers, oracle.report())
     }
 
     /// Cross-validate this context's graph attributions against its

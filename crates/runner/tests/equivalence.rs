@@ -1,12 +1,15 @@
 //! Property tests pinning the runner's central guarantee: parallelism and
-//! caching change *when* a simulation happens, never *what* it computes.
-//! Every oracle the crate exposes must be bit-identical to the serial
-//! `MultiSimOracle` on arbitrary traces and query sets, and repeated
-//! queries must be answered from the cache rather than re-simulated.
+//! caching change *when* a `t(S)` is computed, never *what* it is. The
+//! runner's oracle must be bit-identical to the serial reference oracle
+//! of its backend — `MultiSimOracle` for re-simulation, `GraphOracle` for
+//! the dependence graph — on arbitrary traces and set lists, and repeated
+//! queries must be answered from the cache rather than re-evaluated.
 
-use icost::{icost, CostOracle, MultiSimOracle};
+use icost::{icost, CostOracle, GraphOracle, MultiSimOracle};
 use proptest::prelude::*;
-use uarch_runner::{context_id, CachedOracle, ParallelMultiSimOracle, Query, Runner, SimCache};
+use uarch_graph::DepGraph;
+use uarch_runner::{Backend, Query, Runner};
+use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, Trace, TraceBuilder};
 
 /// Build a trace from a script of `(opcode, value)` pairs. The opcode
@@ -44,48 +47,95 @@ fn event_set(picks: &[u8]) -> EventSet {
         .collect()
 }
 
+/// Arbitrary sets, `∅` and duplicates included.
+fn set_list(bits: &[u8]) -> Vec<EventSet> {
+    bits.iter().map(|&b| EventSet::from_bits(b)).collect()
+}
+
+/// Answer `sets` (and `icost(u)`) through `backend` three ways — on a
+/// fresh cache, and on a shared cache another oracle already warmed,
+/// each with and without a prefetch — and require every answer to equal
+/// the reference oracle's.
+fn agrees_with_reference(
+    backend: Backend,
+    reference: &mut dyn CostOracle,
+    sets: &[EventSet],
+    u: EventSet,
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let want: Vec<i64> = sets.iter().map(|&s| reference.cost(s)).collect();
+    let want_icost = icost(reference, u);
+    let want_base = reference.baseline();
+    let shared = Runner::new().with_threads(threads);
+    shared.oracle(backend).prefetch(sets);
+    for prefetch in [false, true] {
+        for warm in [false, true] {
+            let runner = if warm {
+                shared.clone()
+            } else {
+                Runner::new().with_threads(threads)
+            };
+            let mut oracle = runner.oracle(backend);
+            if prefetch {
+                oracle.prefetch(sets);
+            }
+            let got: Vec<i64> = sets.iter().map(|&s| oracle.cost(s)).collect();
+            prop_assert_eq!(&got, &want, "prefetch={} warm={}", prefetch, warm);
+            prop_assert_eq!(oracle.baseline(), want_base);
+            if warm {
+                prop_assert_eq!(
+                    oracle.report().sims_run,
+                    0,
+                    "a warm cache evaluates nothing"
+                );
+            }
+            prop_assert_eq!(icost(&mut oracle, u), want_icost);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn parallel_oracle_matches_serial(
+    fn sim_backend_matches_multisim(
         script in prop::collection::vec((0u8..5, 0u64..97), 1..32),
+        bits in prop::collection::vec(any::<u8>(), 1..10),
         picks in prop::collection::vec(0u8..8, 1..4),
+        threads in 1usize..5,
     ) {
         let cfg = MachineConfig::table6();
         let trace = build_trace(&script);
-        let u = event_set(&picks);
-
         let mut serial = MultiSimOracle::new(&cfg, &trace);
-        let mut par = ParallelMultiSimOracle::new(&cfg, &trace).with_threads(4);
-
-        let subsets: Vec<EventSet> = u.subsets().collect();
-        par.prefetch(&subsets);
-        for s in &subsets {
-            prop_assert_eq!(par.cost(*s), serial.cost(*s));
-        }
-        prop_assert_eq!(par.baseline(), serial.baseline());
-        prop_assert_eq!(icost(&mut par, u), icost(&mut serial, u));
+        agrees_with_reference(
+            Backend::sim(&cfg, &trace),
+            &mut serial,
+            &set_list(&bits),
+            event_set(&picks),
+            threads,
+        )?;
     }
 
     #[test]
-    fn cached_oracle_matches_serial(
-        script in prop::collection::vec((0u8..5, 0u64..97), 1..32),
+    fn graph_backend_matches_graph_oracle(
+        script in prop::collection::vec((0u8..5, 0u64..97), 1..64),
+        bits in prop::collection::vec(any::<u8>(), 1..40),
         picks in prop::collection::vec(0u8..8, 1..4),
+        threads in 1usize..5,
     ) {
         let cfg = MachineConfig::table6();
         let trace = build_trace(&script);
-        let u = event_set(&picks);
-        let ctx = context_id(&cfg, &trace, &[], &[]);
-
-        let mut serial = MultiSimOracle::new(&cfg, &trace);
-        let mut cached =
-            CachedOracle::new(MultiSimOracle::new(&cfg, &trace), ctx, SimCache::new());
-
-        for s in u.subsets() {
-            prop_assert_eq!(cached.cost(s), serial.cost(s));
-        }
-        prop_assert_eq!(cached.baseline(), serial.baseline());
+        let result = Simulator::new(&cfg).run(&trace, Idealization::none());
+        let graph = DepGraph::build(&trace, &result, &cfg);
+        let mut serial = GraphOracle::new(&graph);
+        agrees_with_reference(
+            Backend::graph(&graph),
+            &mut serial,
+            &set_list(&bits),
+            event_set(&picks),
+            threads,
+        )?;
     }
 
     #[test]

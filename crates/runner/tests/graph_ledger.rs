@@ -11,7 +11,7 @@ use uarch_graph::DepGraph;
 use uarch_obs::ledger::{
     install_global, parse_ledger, JobRecord, Ledger, LedgerRecord, Provenance,
 };
-use uarch_runner::LatticeGraphOracle;
+use uarch_runner::{Backend, Runner};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, TraceBuilder};
 
 fn graph(cfg: &MachineConfig) -> DepGraph {
@@ -34,7 +34,7 @@ fn graph_jobs_are_ledgered_with_provenance() {
     );
     let cfg = MachineConfig::table6();
     let g = graph(&cfg);
-    let mut lattice = LatticeGraphOracle::new(&g).with_threads(2);
+    let mut lattice = Runner::new().with_threads(2).oracle(Backend::graph(&g));
     let d = EventSet::single(EventClass::Dmiss);
     let w = EventSet::single(EventClass::Win);
     lattice.prefetch(&[d, w]);

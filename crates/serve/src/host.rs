@@ -14,14 +14,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use icost::{icost, icost_of_sets, CostOracle};
 use uarch_audit::{audit_attribution, AuditConfig, AuditMetrics};
 use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
 use uarch_obs::json::{self, Value};
 use uarch_obs::ledger::{LedgerRecord, ReportRecord};
 use uarch_obs::{prom, Counter, Gauge, Histogram, Registry};
 use uarch_plan::{assess, Calibrator, PlanConfig, Planner};
-use uarch_runner::{context_id, Query, RunReport, Runner};
+use uarch_runner::{context_id, ContextId, Query, RunReport, Runner};
 use uarch_sim::{Idealization, PipelineStalls, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
@@ -97,9 +96,11 @@ pub struct ServeHost {
     /// the run ledger at startup, so a restart is not uncalibrated).
     calibrator: Calibrator,
     plan_cfg: PlanConfig,
-    /// `(sim, graph)` context fingerprints for the served workload.
-    sim_ctx: String,
-    graph_ctx: String,
+    /// `(sim, graph)` context fingerprints for the served workload. The
+    /// `graph` and `auto` backends both key graph answers by `graph_ctx`,
+    /// so the host stores each of them once.
+    sim_ctx: ContextId,
+    graph_ctx: ContextId,
     /// The `POST /ingest` session table (and its `ingest.*` metrics).
     ingest: IngestSessions,
     /// Audit tolerances in effect for background (streamed-window)
@@ -197,8 +198,8 @@ impl ServeHost {
             plan_registry,
             calibrator,
             plan_cfg: PlanConfig::default(),
-            sim_ctx: sim_ctx.to_string(),
-            graph_ctx: graph_ctx.to_string(),
+            sim_ctx,
+            graph_ctx,
             ingest: {
                 let ingest = IngestSessions::new(ctx.config.clone());
                 match audit_cfg {
@@ -430,10 +431,19 @@ impl ServeHost {
                 (answers, provenance, confidence, report)
             }
             Backend::Graph => {
-                let (answers, report) = self.run_graph_batch(&queries);
-                let per_set =
-                    self.calibrator
-                        .tolerance(&self.sim_ctx, &self.graph_ctx, &self.plan_cfg);
+                let mut oracle = self.runner.oracle(uarch_runner::Backend::Graph {
+                    graph: &self.graph,
+                    ctx: self.graph_ctx,
+                });
+                let answers = oracle.run(&queries);
+                self.graph_registry
+                    .absorb_scalars(&oracle.graph_metrics().snapshot());
+                let report = oracle.report();
+                let per_set = self.calibrator.tolerance(
+                    &self.sim_ctx.to_string(),
+                    &self.graph_ctx.to_string(),
+                    &self.plan_cfg,
+                );
                 let confidence = queries
                     .iter()
                     .zip(&answers)
@@ -569,7 +579,8 @@ impl ServeHost {
         if record.verdict == "refuted" {
             // Confirmed refutations feed the planner: this context's
             // graph answers escalate to ground truth until retrained.
-            self.calibrator.mark_refuted(&self.sim_ctx, &self.graph_ctx);
+            self.calibrator
+                .mark_refuted(&self.sim_ctx.to_string(), &self.graph_ctx.to_string());
         }
         let record = LedgerRecord::Audit(record);
         let line = record.to_json_line();
@@ -656,29 +667,6 @@ impl ServeHost {
             .now_us()
             .saturating_sub(secs.saturating_mul(1_000_000));
         Some(uarch_obs::Profile::from_events(&tracer.events_since(since)).render())
-    }
-
-    /// Evaluate a batch on the dependence-graph kernel, folding the
-    /// short-lived oracle's `graph.*` counters into the aggregate
-    /// registry (this is [`Runner::run_graph`] plus counter retention).
-    fn run_graph_batch(&self, queries: &[Query]) -> (Vec<i64>, uarch_runner::RunReport) {
-        let mut oracle = self.runner.graph_oracle(&self.graph);
-        let wanted: Vec<EventSet> = queries.iter().flat_map(Query::required_sets).collect();
-        oracle.prefetch(&wanted);
-        let answers = queries
-            .iter()
-            .map(|q| match q {
-                Query::Cost(s) => oracle.cost(*s),
-                Query::Icost(u) => icost(&mut oracle, *u),
-                Query::IcostOfUnits(units) => icost_of_sets(&mut oracle, units),
-            })
-            .collect();
-        let report = oracle.report().clone();
-        let inner = oracle.into_inner();
-        self.graph_registry
-            .absorb_scalars(&inner.metrics().snapshot());
-        let _ = uarch_obs::ledger::global().flush();
-        (answers, report)
     }
 }
 

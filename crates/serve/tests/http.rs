@@ -315,6 +315,39 @@ fn auto_backend_reports_provenance_and_escalates_when_uncalibrated() {
     server.shutdown();
 }
 
+/// The `graph` and `auto` backends key the served graph's answers the
+/// same way, so an `auto` batch after a `graph` batch over the same
+/// queries finds every graph answer already cached.
+#[test]
+fn graph_and_auto_backends_share_one_graph_cache_key() {
+    let host = test_host();
+    let graph_evals = || -> f64 {
+        let text = host.render_metrics();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("plan_graph_evals{"))
+            .unwrap_or_else(|| panic!("no plan_graph_evals in:\n{text}"));
+        line.rsplit(' ')
+            .next()
+            .and_then(|v| v.parse().ok())
+            .expect("value")
+    };
+    let queries =
+        r#""queries":[{"cost":"dmiss"},{"icost":"dmiss+win"},{"icost_units":["dmiss","bw"]}]"#;
+    host.handle_query(format!(r#"{{"backend":"graph",{queries}}}"#).as_bytes())
+        .expect("graph batch");
+    let before = graph_evals();
+    // Cold calibrator: every graph answer escalates, but only after the
+    // graph rung has answered from the cache.
+    host.handle_query(format!(r#"{{"backend":"auto",{queries}}}"#).as_bytes())
+        .expect("auto batch");
+    assert_eq!(
+        graph_evals(),
+        before,
+        "the auto batch re-evaluated graph sets the graph batch had cached"
+    );
+}
+
 /// With a token configured, every endpoint (including the SSE stream)
 /// answers 401 + `WWW-Authenticate` unless the exact bearer token is
 /// presented; with it, everything works as before.

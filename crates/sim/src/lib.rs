@@ -54,6 +54,6 @@ mod record;
 
 pub use branch::{BranchOutcome, BranchPredictor};
 pub use cache::{Cache, MemSystem, MissLevel, Tlb};
-pub use engine::{EngineMode, Simulator, SIM_ENGINE_ENV};
+pub use engine::{EngineMode, Simulator};
 pub use ideal::Idealization;
 pub use record::{EngineStats, EventCounts, ExecRecord, PipelineStalls, SimResult};

@@ -43,7 +43,7 @@ fn main() {
     //    job in the run ledger alongside the simulation jobs below.
     let graph = DepGraph::build(&trace, &result, &config);
     let runner = uarch_runner::Runner::new();
-    let mut oracle = runner.graph_oracle(&graph);
+    let mut oracle = runner.oracle(uarch_runner::Backend::graph(&graph));
 
     let dmiss = EventSet::single(EventClass::Dmiss);
     let win = EventSet::single(EventClass::Win);
