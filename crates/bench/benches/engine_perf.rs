@@ -22,8 +22,8 @@
 //! comfortably exceeded.
 //!
 //! Also a ledger producer: with the tracer on, the runner answers two
-//! queries per compute-bound profile, so the exported `BENCH_PR9.json`
-//! carries real run/job records (see `icost-obs bench-export`).
+//! queries per compute-bound profile, so the gate ledger carries real
+//! run/job records (CI checks for both kinds).
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -142,7 +142,7 @@ fn main() {
     // 2. Compute-bound parity: high-IPC profiles where the scheduler has
     // nothing to skip and must cost nothing. The runner also answers two
     // queries per profile here so the gate ledger carries run/job
-    // records for bench-export.
+    // records.
     let runner = harness_runner();
     let dmiss = EventSet::single(EventClass::Dmiss);
     let queries = [

@@ -311,20 +311,6 @@ impl LedgerSummary {
     pub fn to_json(&self) -> String {
         self.to_value().render()
     }
-
-    /// Render as a benchmark-baseline document (`BENCH_<tag>.json`
-    /// convention): the summary under a tag and source label.
-    /// Timestamps are deliberately absent so re-exports of the same
-    /// ledger are byte-identical.
-    pub fn to_bench_json(&self, tag: &str, source: &str) -> String {
-        let mut obj = BTreeMap::new();
-        obj.insert("tag".into(), Value::Str(tag.into()));
-        obj.insert("source".into(), Value::Str(source.into()));
-        obj.insert("summary".into(), self.to_value());
-        let mut out = Value::Obj(obj).render();
-        out.push('\n');
-        out
-    }
 }
 
 /// Table-friendly number: integers render bare, fractions to 2 places.
@@ -668,15 +654,6 @@ mod tests {
         let doc = uarch_obs::json::parse(&s.to_json()).expect("valid JSON");
         assert_eq!(doc.get("jobs").and_then(Value::as_num), Some(4.0));
         assert_eq!(s.to_json(), s.to_json(), "deterministic render");
-        let bench = s.to_bench_json("PR3", "ledger.jsonl");
-        let doc = uarch_obs::json::parse(&bench).expect("bench JSON valid");
-        assert_eq!(doc.get("tag").and_then(Value::as_str), Some("PR3"));
-        assert_eq!(
-            doc.get("summary")
-                .and_then(|v| v.get("cycles"))
-                .and_then(Value::as_num),
-            Some(180.0)
-        );
     }
 
     #[test]

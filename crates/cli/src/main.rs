@@ -3,7 +3,6 @@
 //! ```text
 //! icost-obs summarize <ledger.jsonl> [--json]
 //! icost-obs diff <base.jsonl> <new.jsonl> [--tolerance F] [--wall-tolerance F] [--json]
-//! icost-obs bench-export <ledger.jsonl> --tag TAG [--out FILE] [--allow-empty]
 //! icost-obs plan <ledger.jsonl> [--json]
 //! icost-obs serve [--addr HOST:PORT] [--workload NAME] [--insts N] [--threads N] [--workers N]
 //!                 [--token TOKEN]
@@ -19,6 +18,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use icost_obs_cli::{diff, LedgerSummary, Tolerance};
+use uarch_obs::ledger::KindFilter;
 use uarch_serve::{ServeContext, ServeHost, Server};
 
 const USAGE: &str = "\
@@ -27,7 +27,6 @@ icost-obs — regression tracking over interaction-cost run ledgers
 USAGE:
     icost-obs summarize <ledger.jsonl> [--json]
     icost-obs diff <base.jsonl> <new.jsonl> [--tolerance F] [--wall-tolerance F] [--json]
-    icost-obs bench-export <ledger.jsonl> --tag TAG [--out FILE] [--allow-empty]
     icost-obs plan <ledger.jsonl> [--json]
     icost-obs serve [--addr HOST:PORT] [--workload NAME] [--insts N]
                     [--threads N] [--workers N] [--token TOKEN]
@@ -42,9 +41,6 @@ COMMANDS:
     summarize     Aggregate a ledger into run/job/provenance/cycle totals
     diff          Compare a candidate ledger against a baseline; exit 1
                   when a gated metric regresses beyond tolerance
-    bench-export  Write the summary as BENCH_<TAG>.json (or --out FILE);
-                  exits 2 when the ledger holds no run or job records
-                  unless --allow-empty is given
     plan          Inspect the mixed-fidelity planner's ledger trail:
                   answers by backend and routing reason, plus the
                   per-context graph-residual calibration replayed from
@@ -81,10 +77,6 @@ OPTIONS:
                        0.1 allows +10% sims/cycles, -10% reuse)
     --wall-tolerance F Relative slack for wall time (default 10.0 —
                        wall clocks differ wildly across machines)
-    --tag TAG          Benchmark tag for bench-export (required)
-    --out FILE         Output path for bench-export (default BENCH_<TAG>.json)
-    --allow-empty      bench-export: export even when the ledger holds no
-                       run or job records (default: warn and exit 2)
     --addr HOST:PORT   serve listen address (port 0 picks a free port)
     --workload NAME    serve benchmark profile (default mcf)
     --insts N          serve trace length in instructions (default 20000)
@@ -202,48 +194,6 @@ fn main() -> ExitCode {
             } else {
                 ExitCode::SUCCESS
             }
-        }
-        "bench-export" => {
-            let allow_empty = take_flag(&mut args, "--allow-empty");
-            let tag = match take_opt::<String>(&mut args, "--tag") {
-                Ok(Some(t)) => t,
-                Ok(None) => return fail("bench-export requires --tag TAG"),
-                Err(e) => return fail(e),
-            };
-            let out = match take_opt::<String>(&mut args, "--out") {
-                Ok(o) => o.unwrap_or_else(|| format!("BENCH_{tag}.json")),
-                Err(e) => return fail(e),
-            };
-            let [path] = args.as_slice() else {
-                return fail("bench-export takes exactly one ledger path (see --help)");
-            };
-            let summary = match load_summary(path) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
-            // An exported benchmark file with zero run headers and zero
-            // job records gates nothing downstream — it is almost always
-            // a mis-pointed ICOST_LEDGER_FILE. Refuse unless the caller
-            // explicitly opts in.
-            if summary.runs == 0 && summary.jobs == 0 {
-                if allow_empty {
-                    eprintln!(
-                        "icost-obs: {path}: no run or job records; exporting empty \
-                         summary (--allow-empty)"
-                    );
-                } else {
-                    return fail(format!(
-                        "{path}: no run or job records — refusing to export an empty \
-                         benchmark summary (pass --allow-empty to override)"
-                    ));
-                }
-            }
-            let doc = summary.to_bench_json(&tag, path);
-            if let Err(e) = std::fs::write(&out, doc) {
-                return fail(format!("cannot write {out}: {e}"));
-            }
-            eprintln!("icost-obs: wrote {out}");
-            ExitCode::SUCCESS
         }
         "plan" => {
             let json = take_flag(&mut args, "--json");
@@ -430,34 +380,12 @@ fn http_get(addr: &str, path: &str, token: Option<String>) -> Result<String, Str
     Ok(body.to_string())
 }
 
-/// Parse the `--kinds` value: `all` (or empty) means no filter.
-fn kinds_filter(kinds: &str) -> Option<Vec<String>> {
-    if kinds == "all" {
-        return None;
-    }
-    let kinds: Vec<String> = kinds
-        .split(',')
-        .filter(|k| !k.is_empty())
-        .map(str::to_string)
-        .collect();
-    (!kinds.is_empty()).then_some(kinds)
-}
-
 /// Render one ledger JSONL `line` if it passes the kind filter;
 /// returns whether a record was rendered (counted against `--limit`).
-fn watch_line(line: &str, kinds: Option<&[String]>) -> bool {
+fn watch_line(line: &str, kinds: &KindFilter) -> bool {
     let line = line.trim();
-    if line.is_empty() {
+    if line.is_empty() || !kinds.admits(line) {
         return false;
-    }
-    if let Some(kinds) = kinds {
-        let kind = line
-            .strip_prefix("{\"kind\":\"")
-            .and_then(|rest| rest.split_once('"'))
-            .map(|(kind, _)| kind);
-        if !kind.is_some_and(|k| kinds.iter().any(|want| want == k)) {
-            return false;
-        }
     }
     match uarch_obs::ledger::parse_ledger_lenient(line) {
         Ok((records, 0)) if !records.is_empty() => {
@@ -539,8 +467,8 @@ fn stream_events(
 
 /// `icost-obs watch --addr`: tail a server's `GET /events` SSE stream.
 fn watch_sse(addr: &str, kinds: &str, limit: Option<u64>, token: Option<String>) -> ExitCode {
-    let kinds = kinds_filter(kinds);
-    let path = match &kinds {
+    let kinds = KindFilter::parse(kinds);
+    let path = match kinds.kinds() {
         Some(kinds) => format!("/events?kinds={}", kinds.join(",")),
         None => "/events".to_string(),
     };
@@ -548,7 +476,7 @@ fn watch_sse(addr: &str, kinds: &str, limit: Option<u64>, token: Option<String>)
     // The kind filter already ran server-side, but re-check in
     // watch_line so a pre-filter server streams the same view.
     match stream_events(addr, &path, token, |payload| {
-        if watch_line(payload, kinds.as_deref()) {
+        if watch_line(payload, &kinds) {
             rendered += 1;
             return limit.is_some_and(|n| rendered >= n);
         }
@@ -571,7 +499,7 @@ fn would_block(e: &std::io::Error) -> bool {
 fn watch_ledger(path: &str, kinds: &str, limit: Option<u64>) -> ExitCode {
     use std::io::{Read as _, Seek as _};
 
-    let kinds = kinds_filter(kinds);
+    let kinds = KindFilter::parse(kinds);
     let mut pos = 0u64;
     let mut carry = String::new();
     let mut rendered = 0u64;
@@ -595,7 +523,7 @@ fn watch_ledger(path: &str, kinds: &str, limit: Option<u64>) -> ExitCode {
         }
         while let Some(i) = carry.find('\n') {
             let line: String = carry.drain(..=i).collect();
-            if watch_line(&line, kinds.as_deref()) {
+            if watch_line(&line, &kinds) {
                 rendered += 1;
                 if limit.is_some_and(|n| rendered >= n) {
                     return ExitCode::SUCCESS;

@@ -115,75 +115,6 @@ fn diff_exits_nonzero_on_regression_and_tolerance_forgives() {
     assert!(stdout(&out).contains("MISMATCH"));
 }
 
-#[test]
-fn bench_export_writes_deterministic_document() {
-    let ledger = write_fixture("bench.jsonl", LEDGER);
-    let out_path = write_fixture("BENCH_TEST.json", "");
-    let args = [
-        "bench-export",
-        "--tag",
-        "TEST",
-        "--out",
-        out_path.to_str().unwrap(),
-        ledger.to_str().unwrap(),
-    ];
-    assert!(run(&args).status.success());
-    let first = std::fs::read_to_string(&out_path).unwrap();
-    assert!(run(&args).status.success());
-    let second = std::fs::read_to_string(&out_path).unwrap();
-    assert_eq!(first, second, "re-export is byte-identical");
-    let doc = uarch_obs::json::parse(&first).expect("valid JSON");
-    assert_eq!(doc.get("tag").and_then(|v| v.as_str()), Some("TEST"));
-    assert_eq!(
-        doc.get("summary")
-            .and_then(|v| v.get("cycles"))
-            .and_then(|v| v.as_num()),
-        Some(9200.0)
-    );
-}
-
-/// A ledger with no run or job records exports nothing worth gating on:
-/// bench-export must refuse (exit 2, file untouched) unless the caller
-/// passes --allow-empty, in which case it warns and writes the document.
-#[test]
-fn bench_export_refuses_empty_ledger_unless_allowed() {
-    // Records exist, but none of them are run headers or jobs.
-    let ledger = write_fixture(
-        "empty-bench.jsonl",
-        r#"{"kind":"calib","sim_ctx":"00000000deadbeef","graph_ctx":"00000000feedface","set":"dmiss","graph_cost":100,"sim_cost":93}
-"#,
-    );
-    let out_path = write_fixture("BENCH_EMPTY.json", "sentinel");
-    let mut args = vec![
-        "bench-export",
-        "--tag",
-        "EMPTY",
-        "--out",
-        out_path.to_str().unwrap(),
-        ledger.to_str().unwrap(),
-    ];
-    let out = run(&args);
-    assert_eq!(out.status.code(), Some(2), "empty export must exit 2");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("no run or job records"),
-        "stderr explains the refusal: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(
-        std::fs::read_to_string(&out_path).unwrap(),
-        "sentinel",
-        "refused export must not touch the output file"
-    );
-
-    args.insert(1, "--allow-empty");
-    let out = run(&args);
-    assert!(out.status.success(), "--allow-empty overrides the guard");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--allow-empty"));
-    let doc =
-        uarch_obs::json::parse(&std::fs::read_to_string(&out_path).unwrap()).expect("valid JSON");
-    assert_eq!(doc.get("tag").and_then(|v| v.as_str()), Some("EMPTY"));
-}
-
 /// A ledger written by a (hypothetical) newer build: a record kind this
 /// build has never heard of, plus an extra field on a known kind. Both
 /// must be tolerated — version skew between the process that wrote the
@@ -271,5 +202,9 @@ fn bad_usage_and_bad_input_exit_two() {
     assert_eq!(out.status.code(), Some(2));
     let help = run(&["--help"]);
     assert!(help.status.success());
-    assert!(stdout(&help).contains("bench-export"));
+    assert!(stdout(&help).contains("summarize"));
+    assert!(
+        !stdout(&help).contains("bench-export"),
+        "subcommand retired"
+    );
 }

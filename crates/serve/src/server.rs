@@ -20,6 +20,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use uarch_obs::ledger::KindFilter;
+
 use crate::host::ServeHost;
 use crate::http::{self, ParseError, Request};
 
@@ -282,38 +284,11 @@ fn parse_profile_secs(query: Option<&str>) -> u64 {
         .clamp(1, 3600)
 }
 
-/// Parse the `kinds=` query parameter of `GET /events` into a record-
-/// kind allowlist. Absent parameter or an empty value means *no
-/// filter* (every record streams, byte-identical to the unfiltered
-/// protocol); unknown kind names are kept verbatim and simply never
-/// match a record.
-fn parse_kinds_filter(query: Option<&str>) -> Option<Vec<String>> {
-    let query = query?;
-    let value = query
-        .split('&')
-        .find_map(|param| param.strip_prefix("kinds="))?;
-    let kinds: Vec<String> = value
-        .split(',')
-        .filter(|k| !k.is_empty())
-        .map(str::to_string)
-        .collect();
-    (!kinds.is_empty()).then_some(kinds)
-}
-
-/// Whether a ledger JSONL `line` passes the `kinds` allowlist. Every
-/// record renders with `"kind"` as its first field, so the kind is
-/// read straight off the line prefix; `None` admits everything.
-fn line_matches_kinds(line: &str, kinds: Option<&[String]>) -> bool {
-    let Some(kinds) = kinds else {
-        return true;
-    };
-    let Some(rest) = line.strip_prefix("{\"kind\":\"") else {
-        return false;
-    };
-    let Some((kind, _)) = rest.split_once('"') else {
-        return false;
-    };
-    kinds.iter().any(|k| k == kind)
+/// Parse the `kinds=` query parameter of `GET /events` (see
+/// [`KindFilter::parse`]); an absent parameter admits every kind.
+fn parse_kinds_filter(query: Option<&str>) -> KindFilter {
+    let value = query.and_then(|q| q.split('&').find_map(|param| param.strip_prefix("kinds=")));
+    KindFilter::parse(value.unwrap_or_default())
 }
 
 /// Move a `GET /events` connection onto a dedicated thread, bounded by
@@ -324,7 +299,7 @@ fn spawn_sse(
     mut stream: TcpStream,
     stop: &Arc<AtomicBool>,
     sse: &Arc<SseSlots>,
-    kinds: Option<Vec<String>>,
+    kinds: KindFilter,
 ) {
     let reserved = sse
         .active
@@ -343,7 +318,7 @@ fn spawn_sse(
     let spawned = std::thread::Builder::new()
         .name("icost-serve-sse".into())
         .spawn(move || {
-            stream_events(&thread_host, &mut stream, &stop, kinds.as_deref());
+            stream_events(&thread_host, &mut stream, &stop, &kinds);
             slots.active.fetch_sub(1, Ordering::SeqCst);
         });
     if spawned.is_err() {
@@ -532,12 +507,7 @@ fn route(host: &ServeHost, stream: &mut TcpStream, request: &Request) {
 /// oldest-first (counted on `ledger.events.dropped`) rather than
 /// blocking the run. Keepalive comments flow every [`SSE_TICK`] so
 /// disconnects and server shutdown are noticed promptly.
-fn stream_events(
-    host: &ServeHost,
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-    kinds: Option<&[String]>,
-) {
+fn stream_events(host: &ServeHost, stream: &mut TcpStream, stop: &AtomicBool, kinds: &KindFilter) {
     let subscription = uarch_obs::ledger::global().subscribe(SSE_QUEUE_CAPACITY);
     let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n";
     if stream.write_all(head.as_bytes()).is_err() {
@@ -546,7 +516,7 @@ fn stream_events(
     host.sse_clients_delta(1);
     while !stop.load(Ordering::SeqCst) {
         let frame = match subscription.recv_timeout(SSE_TICK) {
-            Some(line) if line_matches_kinds(&line, kinds) => format!("data: {line}\n\n"),
+            Some(line) if kinds.admits(&line) => format!("data: {line}\n\n"),
             // A filtered-out record still resets nothing: the periodic
             // keepalive below keeps the disconnect probe flowing.
             Some(_) => continue,
