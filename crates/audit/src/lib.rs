@@ -31,79 +31,39 @@
 //!   per-mille; the overall score is the total-variation distance
 //!   between the two share vectors.
 //!
-//! A category is **confirmed** when `|divergence| ≤ tolerance_pm`,
+//! A category is **confirmed** when `|divergence| ≤` [`TOLERANCE_PM`],
 //! **refuted** otherwise. Ranges whose checkable counter total is
-//! below the noise floor are skipped (every category unmodeled):
+//! below [`NOISE_FLOOR`] are skipped (every category unmodeled):
 //! share estimates from a handful of stall cycles are noise.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use uarch_obs::ledger::AuditRecord;
 use uarch_obs::{Histogram, Registry};
 use uarch_sim::PipelineStalls;
 use uarch_trace::{EventClass, EventSet};
 
-/// Environment variable enabling the runner / streaming audit hooks
-/// (`1` enables; anything else leaves them off).
-pub const AUDIT_ENV: &str = "ICOST_AUDIT";
+/// Per-category share divergence (attributed vs. counter, per-mille of
+/// the checkable total) beyond which a category is refuted. Share-space
+/// comparison across cost models is inherently approximate (MLP,
+/// overlap splitting); 250‰ separates the agreement seen on
+/// well-calibrated Table-7 profiles from the shifts a wrong latency
+/// produces.
+pub const TOLERANCE_PM: u64 = 250;
 
-/// Environment variable overriding the per-category share-divergence
-/// tolerance, in per-mille.
-pub const AUDIT_TOLERANCE_ENV: &str = "ICOST_AUDIT_TOLERANCE_PM";
+/// Minimum checkable counter cycles for an audit to mean anything;
+/// below it the range is skipped (all categories unmodeled).
+pub const NOISE_FLOOR: u64 = 64;
 
-/// Environment variable overriding the checkable-counter noise floor,
-/// in cycles.
-pub const AUDIT_NOISE_FLOOR_ENV: &str = "ICOST_AUDIT_NOISE_FLOOR";
-
-/// Auditing thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuditConfig {
-    /// Per-category share divergence (attributed vs. counter, per-mille
-    /// of the checkable total) beyond which a category is refuted.
-    pub tolerance_pm: u64,
-    /// Minimum checkable counter cycles for an audit to mean anything;
-    /// below it the range is skipped (all categories unmodeled).
-    pub noise_floor: u64,
-}
-
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        AuditConfig {
-            // Share-space comparison across cost models is inherently
-            // approximate (MLP, overlap splitting); 250‰ separates the
-            // agreement seen on well-calibrated Table-7 profiles from
-            // the shifts a wrong latency produces.
-            tolerance_pm: 250,
-            noise_floor: 64,
-        }
-    }
-}
-
-impl AuditConfig {
-    /// The audit configuration from the environment, or `None` when
-    /// [`AUDIT_ENV`] is not `1` (the hooks stay off-path).
-    pub fn from_env() -> Option<AuditConfig> {
-        if std::env::var(AUDIT_ENV).ok().as_deref() != Some("1") {
-            return None;
-        }
-        let mut cfg = AuditConfig::default();
-        if let Some(t) = std::env::var(AUDIT_TOLERANCE_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.tolerance_pm = t;
-        }
-        if let Some(f) = std::env::var(AUDIT_NOISE_FLOOR_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.noise_floor = f;
-        }
-        Some(cfg)
-    }
+/// Whether `ICOST_AUDIT=1` switches on the runner and streaming audit
+/// hooks. Read once per process; anything but `1` leaves them off.
+pub fn enabled() -> bool {
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| std::env::var("ICOST_AUDIT").ok().as_deref() == Some("1"))
 }
 
 /// The outcome of checking one category (or a whole audit).
@@ -153,8 +113,6 @@ pub struct Audit {
     pub scope: String,
     /// Baseline critical-path cycles of the range.
     pub baseline: u64,
-    /// The tolerance the verdicts used, per-mille.
-    pub tolerance_pm: u64,
     /// Total-variation distance between the share vectors, per-mille.
     pub score_pm: u64,
     /// Whether the range cleared the noise floor and was checked.
@@ -224,7 +182,7 @@ impl Audit {
             run,
             scope: self.scope.clone(),
             baseline: self.baseline,
-            tolerance_pm: self.tolerance_pm,
+            tolerance_pm: TOLERANCE_PM,
             score_pm: self.score_pm,
             confirmed: self.confirmed(),
             refuted: self.refuted(),
@@ -272,7 +230,6 @@ pub fn audit_attribution(
     costs: &[i64; 8],
     pairs: &[(EventSet, i64)],
     stalls: &PipelineStalls,
-    cfg: &AuditConfig,
 ) -> Audit {
     // Overlap-adjusted attribution: each pair's interaction is split
     // evenly between its two members (×2 fixed-point to stay integer).
@@ -304,7 +261,7 @@ pub fn audit_attribution(
         .map(|(i, _)| attributed[i].max(0))
         .sum();
     let k_total: u64 = counters.iter().flatten().sum();
-    let checked = baseline > 0 && k_total >= cfg.noise_floor && a_total > 0;
+    let checked = baseline > 0 && k_total >= NOISE_FLOOR && a_total > 0;
 
     let mut categories = Vec::with_capacity(8);
     let mut tv = 0.0f64;
@@ -317,12 +274,12 @@ pub fn audit_attribution(
             // the modeled baseline proves the model's timescale wrong
             // (e.g. a memory latency far below the machine's) even
             // when uniform rescaling leaves every share intact.
-            Some(k) if baseline > 0 && k >= cfg.noise_floor && k > baseline => {
+            Some(k) if baseline > 0 && k >= NOISE_FLOOR && k > baseline => {
                 // Clamp past the tolerance so the record stays
                 // self-describing: renderers re-derive verdicts from
                 // |divergence| vs tolerance alone.
                 let excess_pm = (((k as f64 / baseline as f64 - 1.0) * 1000.0).round() as i64)
-                    .max(cfg.tolerance_pm as i64 + 1);
+                    .max(TOLERANCE_PM as i64 + 1);
                 evidence.push(format!(
                     "{}: {} machine stall cycles cannot fit the modeled {}-cycle baseline (model timescale off by {:+}pm)",
                     class.name(),
@@ -338,7 +295,7 @@ pub fn audit_attribution(
                 let diff = a_share - k_share;
                 tv += diff.abs();
                 let diff_pm = (diff * 1000.0).round() as i64;
-                let verdict = if diff_pm.unsigned_abs() <= cfg.tolerance_pm {
+                let verdict = if diff_pm.unsigned_abs() <= TOLERANCE_PM {
                     Verdict::Confirmed
                 } else {
                     evidence.push(format!(
@@ -347,7 +304,7 @@ pub fn audit_attribution(
                         a_share * 100.0,
                         k_share * 100.0,
                         diff_pm,
-                        cfg.tolerance_pm,
+                        TOLERANCE_PM,
                     ));
                     Verdict::Refuted
                 };
@@ -367,7 +324,6 @@ pub fn audit_attribution(
     Audit {
         scope: scope.to_string(),
         baseline,
-        tolerance_pm: cfg.tolerance_pm,
         score_pm: (tv * 500.0).round() as u64,
         checked,
         categories,
@@ -517,7 +473,6 @@ mod tests {
 
     #[test]
     fn matching_shares_confirm_every_checkable_category() {
-        let cfg = AuditConfig::default();
         // Counters are 2x the attributions uniformly: shares identical.
         let audit = audit_attribution(
             "run",
@@ -525,7 +480,6 @@ mod tests {
             &costs(100, 50, 400, 200, 50),
             &[],
             &stalls(200, 100, 800, 400, 100),
-            &cfg,
         );
         assert!(audit.checked);
         assert_eq!(audit.score_pm, 0);
@@ -538,7 +492,6 @@ mod tests {
 
     #[test]
     fn shifted_shares_refute_the_shifted_category() {
-        let cfg = AuditConfig::default();
         // Graph says dmiss is small; counters say it dominates.
         let audit = audit_attribution(
             "run",
@@ -546,7 +499,6 @@ mod tests {
             &costs(100, 0, 50, 100, 0),
             &[],
             &stalls(100, 0, 900, 100, 0),
-            &cfg,
         );
         let dmiss = audit
             .categories
@@ -561,7 +513,6 @@ mod tests {
 
     #[test]
     fn pairwise_icosts_split_evenly_between_members() {
-        let cfg = AuditConfig::default();
         let pair = EventSet::single(EventClass::Dmiss).with(EventClass::Win);
         let audit = audit_attribution(
             "run",
@@ -569,7 +520,6 @@ mod tests {
             &costs(0, 0, 100, 100, 0),
             &[(pair, 50)],
             &stalls(0, 0, 250, 250, 0),
-            &cfg,
         );
         let get = |class| {
             audit
@@ -586,14 +536,12 @@ mod tests {
 
     #[test]
     fn below_noise_floor_everything_is_unmodeled() {
-        let cfg = AuditConfig::default();
         let audit = audit_attribution(
             "run",
             1000,
             &costs(1, 1, 1, 1, 1),
             &[],
             &stalls(1, 1, 1, 1, 1),
-            &cfg,
         );
         assert!(!audit.checked);
         assert_eq!(audit.unmodeled(), 8);
@@ -602,14 +550,12 @@ mod tests {
 
     #[test]
     fn record_roundtrip_preserves_the_waterfall() {
-        let cfg = AuditConfig::default();
         let audit = audit_attribution(
             "window 3",
             4096,
             &costs(100, 0, 50, 100, 0),
             &[],
             &stalls(100, 0, 900, 100, 0),
-            &cfg,
         );
         let record = audit.to_record(7);
         assert_eq!(record.confirmed, audit.confirmed());
@@ -633,14 +579,12 @@ mod tests {
     fn metrics_count_checks_and_verdicts() {
         let registry = Registry::new();
         let metrics = AuditMetrics::bind(&registry);
-        let cfg = AuditConfig::default();
         let audit = audit_attribution(
             "run",
             1000,
             &costs(100, 0, 50, 100, 0),
             &[],
             &stalls(100, 0, 900, 100, 0),
-            &cfg,
         );
         metrics.observe(&audit.to_record(1));
         let snap = registry.snapshot();

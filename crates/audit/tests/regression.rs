@@ -7,7 +7,7 @@
 //! mis-modeled category named in the evidence — the auditor is only
 //! useful if it both trusts good models and catches bad ones.
 
-use uarch_audit::{audit_attribution, AuditConfig, Verdict};
+use uarch_audit::{audit_attribution, Verdict};
 use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
 use uarch_sim::{Idealization, SimResult, Simulator};
 use uarch_trace::{EventClass, MachineConfig, Trace};
@@ -34,7 +34,6 @@ fn lattice(
 #[test]
 fn table7_suite_confirms_at_least_90_pct_of_checked_categories() {
     let config = MachineConfig::table6();
-    let cfg = AuditConfig::default();
     let mut confirmed = 0u64;
     let mut refuted = 0u64;
     let mut checked_profiles = 0usize;
@@ -42,7 +41,7 @@ fn table7_suite_confirms_at_least_90_pct_of_checked_categories() {
         let w = generate(profile, INSTS, SEED);
         let result = baseline(&w, &config);
         let (base, costs, pairs) = lattice(&w.trace, &result, &config);
-        let audit = audit_attribution(profile.name, base, &costs, &pairs, &result.stalls, &cfg);
+        let audit = audit_attribution(profile.name, base, &costs, &pairs, &result.stalls);
         assert!(base > 0, "{}: empty baseline", profile.name);
         if audit.checked {
             checked_profiles += 1;
@@ -79,18 +78,10 @@ fn miscalibrated_memory_latency_is_refuted_and_dmiss_is_named() {
     wrong.mem_latency = 5;
     let w = generate(BenchProfile::by_name("mcf").expect("mcf"), INSTS, SEED);
     let counters = baseline(&w, &real);
-    let cfg = AuditConfig::default();
 
     // Control arm: the honest model confirms on the same workload.
     let honest = lattice(&w.trace, &counters, &real);
-    let audit = audit_attribution(
-        "run",
-        honest.0,
-        &honest.1,
-        &honest.2,
-        &counters.stalls,
-        &cfg,
-    );
+    let audit = audit_attribution("run", honest.0, &honest.1, &honest.2, &counters.stalls);
     assert_eq!(
         audit.verdict(),
         Verdict::Confirmed,
@@ -102,7 +93,7 @@ fn miscalibrated_memory_latency_is_refuted_and_dmiss_is_named() {
     // config, counters from the real machine.
     let modeled = baseline(&w, &wrong);
     let (base, costs, pairs) = lattice(&w.trace, &modeled, &wrong);
-    let audit = audit_attribution("run", base, &costs, &pairs, &counters.stalls, &cfg);
+    let audit = audit_attribution("run", base, &costs, &pairs, &counters.stalls);
     assert_eq!(
         audit.verdict(),
         Verdict::Refuted,
@@ -139,14 +130,7 @@ fn waterfalls_are_identical_across_the_wire() {
     let w = generate(BenchProfile::by_name("gcc").expect("gcc"), INSTS, SEED);
     let result = baseline(&w, &config);
     let (base, costs, pairs) = lattice(&w.trace, &result, &config);
-    let audit = audit_attribution(
-        "run",
-        base,
-        &costs,
-        &pairs,
-        &result.stalls,
-        &AuditConfig::default(),
-    );
+    let audit = audit_attribution("run", base, &costs, &pairs, &result.stalls);
     let record = audit.to_record(7);
     let line = uarch_obs::ledger::LedgerRecord::Audit(record.clone()).to_json_line();
     let (parsed, skipped) = uarch_obs::ledger::parse_ledger_lenient(&line).expect("parses");

@@ -25,11 +25,9 @@
 //! queries per compute-bound profile, so the gate ledger carries real
 //! run/job records (CI checks for both kinds).
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use icost_bench::{bench_insts, harness_runner, Shape, DEFAULT_SEED};
-use uarch_obs::ledger::{Ledger, LEDGER_FILE_ENV};
 use uarch_obs::{install_global, Tracer};
 use uarch_runner::Query;
 use uarch_sim::{EngineMode, Idealization, SimResult, Simulator};
@@ -110,14 +108,7 @@ fn main() {
     let _flush = uarch_obs::flush_guard();
     install_global(Tracer::enabled());
 
-    let ledger_path: PathBuf = std::env::var(LEDGER_FILE_ENV)
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            std::env::temp_dir().join(format!("engine_perf_{}.jsonl", std::process::id()))
-        });
-    let _ = std::fs::remove_file(&ledger_path);
-    uarch_obs::ledger::install_global(Ledger::to_path(&ledger_path).expect("open ledger file"));
-    uarch_obs::ledger::global().set_enabled(true);
+    let ledger_path = icost_bench::gate_ledger("engine_perf");
 
     let n = bench_insts();
     let cfg = MachineConfig::table6();

@@ -14,13 +14,12 @@
 //! Set `ICOST_TRACE_FILE` to get the Chrome trace of the oracle pass;
 //! its ledger is parsed back and structurally checked.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use icost::CostOracle;
-use icost_bench::{observe_workload, workload, Shape, DEFAULT_SEED};
+use icost_bench::{bench_insts, observe_workload, workload, Shape, DEFAULT_SEED};
 use uarch_graph::{LaneScratch, MAX_LANES};
-use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, Provenance, LEDGER_FILE_ENV};
+use uarch_obs::ledger::{parse_ledger, LedgerRecord, Provenance};
 use uarch_obs::{flush_global, global, install_global, Tracer};
 use uarch_runner::{Backend, Runner};
 use uarch_trace::{EventSet, MachineConfig};
@@ -29,22 +28,12 @@ fn main() {
     let _flush = uarch_obs::flush_guard();
     install_global(Tracer::enabled());
 
-    // Honor ICOST_LEDGER_FILE, default to a fresh temp file, so the
-    // oracle pass always exercises (and the checks below validate) the
-    // real file-append path.
-    let ledger_path: PathBuf = std::env::var(LEDGER_FILE_ENV)
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            std::env::temp_dir().join(format!("graph_scale_{}.jsonl", std::process::id()))
-        });
-    let _ = std::fs::remove_file(&ledger_path);
-    uarch_obs::ledger::install_global(Ledger::to_path(&ledger_path).expect("open ledger file"));
+    // A real ledger file, so the oracle pass exercises (and the checks
+    // below validate) the file-append path.
+    let ledger_path = icost_bench::gate_ledger("graph_scale");
     uarch_obs::ledger::global().set_enabled(false);
 
-    let n: usize = std::env::var("ICOST_BENCH_INSTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60_000);
+    let n = bench_insts();
     let cfg = MachineConfig::table6();
     let w = workload("gcc", n, DEFAULT_SEED);
     let (_, graph) = observe_workload(&w, &cfg);

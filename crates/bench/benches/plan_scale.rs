@@ -16,11 +16,10 @@
 //! `run_warmed` ground truth; every graph-served answer must land
 //! within its calibrated residual tolerance.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use icost_bench::{bench_insts, observe_workload, workload, Shape, DEFAULT_SEED};
-use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, LEDGER_FILE_ENV};
+use uarch_obs::ledger::{parse_ledger, LedgerRecord};
 use uarch_plan::{PlanProvenance, PlannedAnswer, Planner};
 use uarch_runner::{Query, Runner};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
@@ -75,16 +74,10 @@ fn tally(answers: &[PlannedAnswer]) -> (usize, usize, usize) {
 }
 
 fn main() {
-    // Honor ICOST_LEDGER_FILE, default to a fresh temp file: the auto
-    // passes must exercise the real calib/plan append path, and the
-    // checks below (plus `icost-obs plan` in CI) read it back.
-    let ledger_path: PathBuf = std::env::var(LEDGER_FILE_ENV)
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            std::env::temp_dir().join(format!("plan_scale_{}.jsonl", std::process::id()))
-        });
-    let _ = std::fs::remove_file(&ledger_path);
-    uarch_obs::ledger::install_global(Ledger::to_path(&ledger_path).expect("open ledger file"));
+    // A real ledger file: the auto passes must exercise the calib/plan
+    // append path, and the checks below (plus `icost-obs plan` in CI)
+    // read it back.
+    let ledger_path = icost_bench::gate_ledger("plan_scale");
     uarch_obs::ledger::global().set_enabled(false);
 
     let n = bench_insts();

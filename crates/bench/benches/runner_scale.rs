@@ -17,12 +17,11 @@
 //! instrumented pass; the ledger of that pass is parsed back and
 //! structurally checked.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use icost::{icost, MultiSimOracle};
 use icost_bench::{workload, Shape};
-use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, Provenance, LEDGER_FILE_ENV};
+use uarch_obs::ledger::{parse_ledger, LedgerRecord, Provenance};
 use uarch_obs::{flush_global, global, install_global, Tracer};
 use uarch_runner::{Query, RunReport, Runner};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
@@ -53,24 +52,14 @@ fn main() {
     // if the environment already initialized it, toggle that one instead.
     install_global(Tracer::enabled());
 
-    // Same for the ledger: honor ICOST_LEDGER_FILE, default to a fresh
-    // temp file so the instrumented pass always exercises (and the
-    // checks below always validate) the real file-append path.
-    let ledger_path: PathBuf = std::env::var(LEDGER_FILE_ENV)
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            std::env::temp_dir().join(format!("runner_scale_{}.jsonl", std::process::id()))
-        });
-    let _ = std::fs::remove_file(&ledger_path);
-    uarch_obs::ledger::install_global(Ledger::to_path(&ledger_path).expect("open ledger file"));
+    // Same for the ledger: a real file, so the instrumented pass
+    // exercises (and the checks below validate) the file-append path.
+    let ledger_path = icost_bench::gate_ledger("runner_scale");
     uarch_obs::ledger::global().set_enabled(false);
 
     // A deliberately modest trace: the sweep below runs >100 serial
     // simulations of it. Scale with ICOST_BENCH_INSTS as usual.
-    let n: usize = std::env::var("ICOST_BENCH_INSTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12_000);
+    let n = icost_bench::bench_insts_or(12_000);
     let cfg = MachineConfig::table6().with_dl1_latency(4);
     let w = workload("gcc", n, icost_bench::DEFAULT_SEED);
     let mut shape = Shape::new();

@@ -95,10 +95,7 @@ fn http_sweep(addr: SocketAddr, rounds: &[String], trace_ids: &[String]) -> (Vec
 
 fn main() {
     let _flush = uarch_obs::flush_guard();
-    let n: usize = std::env::var("ICOST_BENCH_INSTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12_000);
+    let n = icost_bench::bench_insts_or(12_000);
     let cfg = MachineConfig::table6().with_dl1_latency(4);
     let w = workload("gcc", n, icost_bench::DEFAULT_SEED);
     let mut shape = Shape::new();

@@ -13,12 +13,11 @@
 //! `ICOST_BENCH_INSTS` scales the trace (CI runs small); the window is
 //! derived as n/16 so the 10x ratio holds at every size.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use icost_bench::{workload, Shape};
 use uarch_graph::{DepGraph, StreamingBuilder};
-use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, WindowRecord, LEDGER_FILE_ENV};
+use uarch_obs::ledger::{parse_ledger, LedgerRecord, WindowRecord};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Trace};
 
@@ -31,11 +30,7 @@ fn batch_window(trace: &Trace, start: usize, end: usize, config: &MachineConfig)
 }
 
 fn main() {
-    let ledger_path: PathBuf = std::env::var(LEDGER_FILE_ENV)
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir().join("stream_scale_ledger.jsonl"));
-    let _ = std::fs::remove_file(&ledger_path);
-    uarch_obs::ledger::install_global(Ledger::to_path(&ledger_path).expect("open ledger file"));
+    let ledger_path = icost_bench::gate_ledger("stream_scale");
     let _flush = uarch_obs::flush_guard();
 
     let n = icost_bench::bench_insts();

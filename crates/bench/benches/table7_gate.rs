@@ -13,13 +13,10 @@
 //! to simulator timing, graph semantics, cache reuse, or auditor
 //! verdicts shows up as a baseline delta instead of sailing through.
 
-use std::path::PathBuf;
-
 use icost::CostOracle;
 use icost_bench::{bench_insts, harness_runner, Shape, DEFAULT_SEED};
-use uarch_audit::AuditConfig;
 use uarch_graph::DepGraph;
-use uarch_obs::ledger::{parse_ledger, Ledger, LedgerRecord, LEDGER_FILE_ENV};
+use uarch_obs::ledger::{parse_ledger, LedgerRecord};
 use uarch_obs::{install_global, Tracer};
 use uarch_runner::{Backend, Query};
 use uarch_sim::{Idealization, Simulator};
@@ -30,20 +27,13 @@ fn main() {
     let _flush = uarch_obs::flush_guard();
     install_global(Tracer::enabled());
 
-    let ledger_path: PathBuf = std::env::var(LEDGER_FILE_ENV)
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            std::env::temp_dir().join(format!("table7_gate_{}.jsonl", std::process::id()))
-        });
-    let _ = std::fs::remove_file(&ledger_path);
-    uarch_obs::ledger::install_global(Ledger::to_path(&ledger_path).expect("open ledger file"));
-    uarch_obs::ledger::global().set_enabled(true);
+    let ledger_path = icost_bench::gate_ledger("table7_gate");
 
     let n = bench_insts();
     let cfg = MachineConfig::table6();
     // Audits on programmatically, not via ICOST_AUDIT: the committed
     // baseline must carry audit records regardless of CI step wiring.
-    let runner = harness_runner().with_audit(AuditConfig::default());
+    let runner = harness_runner().with_audit();
     let suite = BenchProfile::suite();
     println!(
         "Table-7-sized gate sweep — {} benchmarks @ {n} insts, lane kernel + cache + audits\n",

@@ -11,10 +11,12 @@
 
 pub mod paper;
 
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use icost::{Breakdown, CostOracle};
 use uarch_graph::DepGraph;
+use uarch_obs::ledger::Ledger;
 use uarch_runner::{context_id, Backend, Oracle, Runner, SimCache};
 use uarch_sim::{Idealization, SimResult, Simulator};
 use uarch_trace::{EventClass, MachineConfig, Trace};
@@ -26,12 +28,32 @@ pub const DEFAULT_INSTS: usize = 60_000;
 /// Default generation seed.
 pub const DEFAULT_SEED: u64 = 2003;
 
-/// Instruction budget from the environment, or the default.
+/// Instruction budget from the environment, or [`DEFAULT_INSTS`].
 pub fn bench_insts() -> usize {
+    bench_insts_or(DEFAULT_INSTS)
+}
+
+/// Instruction budget from `ICOST_BENCH_INSTS`, or `default` (benches
+/// that run many serial simulations start smaller).
+pub fn bench_insts_or(default: usize) -> usize {
     std::env::var("ICOST_BENCH_INSTS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_INSTS)
+        .unwrap_or(default)
+}
+
+/// Install the process-wide ledger of a gate bench and return its
+/// path: the file named by `ICOST_LEDGER_FILE`, else a fresh
+/// `<name>_<pid>.jsonl` in the temp directory. The file is truncated
+/// first, so the bench's own checks read back only this run's records.
+/// The ledger starts enabled.
+pub fn gate_ledger(name: &str) -> PathBuf {
+    let path = uarch_obs::ledger::ledger_file().unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("{name}_{}.jsonl", std::process::id()))
+    });
+    let _ = std::fs::remove_file(&path);
+    uarch_obs::ledger::install_global(Ledger::to_path(&path).expect("open ledger file"));
+    path
 }
 
 /// Generate one benchmark of the suite.
@@ -73,9 +95,18 @@ pub fn observe_workload(w: &Workload, config: &MachineConfig) -> (SimResult, Dep
 pub fn shared_cache() -> &'static SimCache {
     static CACHE: OnceLock<SimCache> = OnceLock::new();
     CACHE.get_or_init(|| match std::env::var("ICOST_CACHE_DIR") {
-        Ok(dir) => SimCache::with_disk(dir).unwrap_or_default(),
+        Ok(dir) => disk_cache(&dir).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            SimCache::new()
+        }),
         Err(_) => SimCache::new(),
     })
+}
+
+/// A cache persisted under `dir`, or the one-line reason it is not.
+fn disk_cache(dir: &str) -> Result<SimCache, String> {
+    SimCache::with_disk(dir)
+        .map_err(|e| format!("icost-bench: ICOST_CACHE_DIR={dir}: {e}; caching in memory only"))
 }
 
 /// The evaluation engine all bench targets share: per-core workers plus
@@ -181,4 +212,24 @@ pub fn print_header(headers: &[&str]) {
         print!(" {h:>8}");
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unusable_cache_dir_names_the_variable_path_and_error() {
+        // A regular file where the directory should be.
+        let path = std::env::temp_dir().join(format!("icost-bench-notadir-{}", std::process::id()));
+        std::fs::write(&path, b"").unwrap();
+        let dir = path.to_str().unwrap();
+        let err = std::fs::create_dir_all(&path).unwrap_err().to_string();
+        let msg = disk_cache(dir).expect_err("a file is not a cache directory");
+        let _ = std::fs::remove_file(&path);
+        assert!(msg.contains("ICOST_CACHE_DIR"), "{msg}");
+        assert!(msg.contains(dir), "{msg}");
+        assert!(msg.contains(&err), "{msg} lacks {err}");
+        assert!(!msg.contains('\n'), "one line: {msg}");
+    }
 }

@@ -128,6 +128,11 @@ where
         .map_err(|e| format!("bad value {raw:?} for {flag}: {e}"))
 }
 
+/// Pull `--token VALUE` out of `args`, falling back to `ICOST_SERVE_TOKEN`.
+fn take_token(args: &mut Vec<String>) -> Result<Option<String>, String> {
+    Ok(take_opt(args, "--token")?.or_else(|| std::env::var("ICOST_SERVE_TOKEN").ok()))
+}
+
 /// Pull a bare `--flag` out of `args`.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     match args.iter().position(|a| a == flag) {
@@ -231,9 +236,8 @@ fn main() -> ExitCode {
                 Ok(w) => w.unwrap_or(uarch_serve::DEFAULT_WORKERS),
                 Err(e) => return fail(e),
             };
-            let token = match take_opt::<String>(&mut args, "--token") {
-                Ok(Some(t)) => Some(t),
-                Ok(None) => std::env::var("ICOST_SERVE_TOKEN").ok(),
+            let token = match take_token(&mut args) {
+                Ok(t) => t,
                 Err(e) => return fail(e),
             };
             if !args.is_empty() {
@@ -258,9 +262,8 @@ fn main() -> ExitCode {
                 Ok(n) => n,
                 Err(e) => return fail(e),
             };
-            let token = match take_opt::<String>(&mut args, "--token") {
-                Ok(Some(t)) => Some(t),
-                Ok(None) => std::env::var("ICOST_SERVE_TOKEN").ok(),
+            let token = match take_token(&mut args) {
+                Ok(t) => t,
                 Err(e) => return fail(e),
             };
             if !args.is_empty() {
@@ -285,9 +288,8 @@ fn main() -> ExitCode {
                 Ok(n) => n,
                 Err(e) => return fail(e),
             };
-            let token = match take_opt::<String>(&mut args, "--token") {
-                Ok(Some(t)) => Some(t),
-                Ok(None) => std::env::var("ICOST_SERVE_TOKEN").ok(),
+            let token = match take_token(&mut args) {
+                Ok(t) => t,
                 Err(e) => return fail(e),
             };
             match (addr, args.as_slice()) {
@@ -305,9 +307,8 @@ fn main() -> ExitCode {
                 Ok(n) => n.unwrap_or(60),
                 Err(e) => return fail(e),
             };
-            let token = match take_opt::<String>(&mut args, "--token") {
-                Ok(Some(t)) => Some(t),
-                Ok(None) => std::env::var("ICOST_SERVE_TOKEN").ok(),
+            let token = match take_token(&mut args) {
+                Ok(t) => t,
                 Err(e) => return fail(e),
             };
             match (addr, args.as_slice()) {

@@ -469,6 +469,59 @@ fn explain_and_cli_audit_produce_identical_waterfalls() {
     assert!(audit_state.get("refuted_rate").is_some(), "{ready}");
 }
 
+#[test]
+fn unopenable_ledger_file_is_reported_on_stderr() {
+    // A regular file where the ledger's directory should be.
+    let dir = std::env::temp_dir().join(format!("icost-serve-e2e-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let blocker = dir.join("not-a-dir");
+    std::fs::write(&blocker, b"").unwrap();
+    let ledger_path = blocker.join("ledger.jsonl");
+    let open_error = std::fs::create_dir_all(&blocker).unwrap_err().to_string();
+    let mut child = Command::new(BIN)
+        .args(["serve", "--addr", "127.0.0.1:0", "--workload", "gzip"])
+        .args(["--insts", "500", "--threads", "1"])
+        .env("ICOST_LEDGER_FILE", &ledger_path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn icost-obs serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped")).lines();
+    let addr: SocketAddr = stdout
+        .next()
+        .expect("startup line")
+        .expect("readable stdout")
+        .strip_prefix("listening on ")
+        .expect("startup line format")
+        .parse()
+        .expect("socket address");
+    // /readyz reads the global ledger, so it has been opened (or not).
+    let (status, ready) = request(addr, "GET", "/readyz", "");
+    let _ = child.kill();
+    let _ = child.wait();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let _ = std::fs::remove_file(&blocker);
+    assert_eq!(status, 200, "{ready}");
+    assert!(ready.contains("\"ledger_sink\":false"), "{ready}");
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("ICOST_LEDGER_FILE"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "one stderr line expected:\n{stderr}");
+    assert!(
+        warnings[0].contains(&ledger_path.display().to_string()),
+        "{}",
+        warnings[0]
+    );
+    assert!(warnings[0].contains(&open_error), "{}", warnings[0]);
+}
+
 /// The payloads of complete `data:` frames, in order.
 fn data_lines(streamed: &str) -> Vec<&str> {
     streamed

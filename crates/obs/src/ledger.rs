@@ -789,13 +789,26 @@ static GLOBAL: OnceLock<Ledger> = OnceLock::new();
 ///
 /// Initialized lazily: appends to the file named by [`LEDGER_FILE_ENV`]
 /// if it is set at first use, disabled otherwise (one relaxed atomic
-/// load per check). Tests that want a deterministic ledger should call
-/// [`install_global`] before any instrumented code runs.
+/// load per check). A file that cannot be opened leaves the ledger
+/// disabled with one line on stderr. Tests that want a deterministic
+/// ledger should call [`install_global`] before any instrumented code
+/// runs.
 pub fn global() -> &'static Ledger {
-    GLOBAL.get_or_init(|| match std::env::var_os(LEDGER_FILE_ENV) {
-        Some(path) => Ledger::to_path(PathBuf::from(path)).unwrap_or_else(|_| Ledger::disabled()),
+    GLOBAL.get_or_init(|| match ledger_file() {
+        Some(path) => Ledger::to_path(&path).unwrap_or_else(|e| {
+            eprintln!(
+                "icost: {LEDGER_FILE_ENV}={}: {e}; ledger disabled",
+                path.display()
+            );
+            Ledger::disabled()
+        }),
         None => Ledger::disabled(),
     })
+}
+
+/// The ledger file named by [`LEDGER_FILE_ENV`], if any.
+pub fn ledger_file() -> Option<PathBuf> {
+    std::env::var_os(LEDGER_FILE_ENV).map(PathBuf::from)
 }
 
 /// Install `ledger` as the process-wide ledger. Returns `false` (and

@@ -60,10 +60,10 @@ mod span;
 pub use causal::TraceCtx;
 pub use profile::Profile;
 pub use registry::{Counter, Gauge, Histogram, Registry, Snapshot, SnapshotValue};
-pub use sampler::{CounterSampler, COUNTER_INTERVAL_ENV, DEFAULT_COUNTER_INTERVAL};
+pub use sampler::{CounterSampler, COUNTER_INTERVAL};
 pub use span::{
-    flush_global, global, install_global, Span, TraceEvent, Tracer, DEFAULT_TRACE_MAX_EVENTS,
-    TRACE_FILE_ENV, TRACE_MAX_EVENTS_ENV,
+    flush_global, global, install_global, Span, TraceEvent, Tracer, TRACE_FILE_ENV,
+    TRACE_MAX_EVENTS,
 };
 
 /// RAII guard that flushes the global trace and ledger when dropped.

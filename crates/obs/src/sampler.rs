@@ -18,12 +18,8 @@ use std::time::Duration;
 use crate::registry::{lock_unpoisoned, Registry, SnapshotValue};
 use crate::span::Tracer;
 
-/// Environment variable overriding the sampling interval, in whole
-/// microseconds (`0` or unparseable falls back to the default).
-pub const COUNTER_INTERVAL_ENV: &str = "ICOST_COUNTER_INTERVAL_US";
-
-/// Default sampling interval when [`COUNTER_INTERVAL_ENV`] is unset.
-pub const DEFAULT_COUNTER_INTERVAL: Duration = Duration::from_micros(2_500);
+/// How often the runner samples its registries while a run is traced.
+pub const COUNTER_INTERVAL: Duration = Duration::from_micros(2_500);
 
 /// Stop flag shared with the sampler thread. A condvar (not a plain
 /// sleep) so dropping the guard interrupts a pending interval instead
@@ -44,17 +40,6 @@ pub struct CounterSampler {
 }
 
 impl CounterSampler {
-    /// The sampling interval from [`COUNTER_INTERVAL_ENV`], or the
-    /// default.
-    pub fn interval_from_env() -> Duration {
-        std::env::var(COUNTER_INTERVAL_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&us| us > 0)
-            .map(Duration::from_micros)
-            .unwrap_or(DEFAULT_COUNTER_INTERVAL)
-    }
-
     /// Start sampling every registry in `registries` into `tracer`
     /// every `interval` until the returned guard drops.
     pub fn start(tracer: Tracer, registries: Vec<Registry>, interval: Duration) -> CounterSampler {

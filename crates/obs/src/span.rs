@@ -31,17 +31,13 @@ use crate::{Counter, Registry};
 /// enables the [`global`] tracer.
 pub const TRACE_FILE_ENV: &str = "ICOST_TRACE_FILE";
 
-/// Environment variable bounding the event buffer of the [`global`]
-/// tracer (default [`DEFAULT_TRACE_MAX_EVENTS`]). When the ring is
+/// Event-ring capacity of the [`global`] tracer (~1M events ≈ a few
+/// hundred MB worst case, minutes of heavy tracing). When the ring is
 /// full the *oldest* event is dropped and counted on the tracer's
 /// `trace.events.dropped` metric — a long-lived server with
 /// `ICOST_TRACE_FILE` set keeps the most recent window instead of
 /// growing without bound.
-pub const TRACE_MAX_EVENTS_ENV: &str = "ICOST_TRACE_MAX_EVENTS";
-
-/// Default event-ring capacity (~1M events ≈ a few hundred MB worst
-/// case, minutes of heavy tracing).
-pub const DEFAULT_TRACE_MAX_EVENTS: usize = 1 << 20;
+pub const TRACE_MAX_EVENTS: usize = 1 << 20;
 
 /// The phase of a trace event (Chrome trace-event `ph` field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +115,7 @@ pub struct Tracer {
 
 impl Tracer {
     fn with_enabled(enabled: bool) -> Tracer {
-        Tracer::with_max_events(enabled, DEFAULT_TRACE_MAX_EVENTS)
+        Tracer::with_max_events(enabled, TRACE_MAX_EVENTS)
     }
 
     /// A tracer with an explicit event-ring capacity (clamped to at
@@ -306,7 +302,7 @@ impl Tracer {
     }
 
     /// Events the drop-oldest ring discarded because the buffer hit
-    /// its [`TRACE_MAX_EVENTS_ENV`] cap.
+    /// its [`TRACE_MAX_EVENTS`] cap.
     pub fn dropped(&self) -> u64 {
         self.inner.events_dropped.get()
     }
@@ -438,14 +434,12 @@ static GLOBAL: OnceLock<Tracer> = OnceLock::new();
 /// span). Tests that want deterministic tracing should call
 /// [`install_global`] before any instrumented code runs.
 pub fn global() -> &'static Tracer {
-    GLOBAL.get_or_init(|| {
-        let enabled = std::env::var_os(TRACE_FILE_ENV).is_some();
-        let max_events = std::env::var(TRACE_MAX_EVENTS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_TRACE_MAX_EVENTS);
-        Tracer::with_max_events(enabled, max_events)
-    })
+    GLOBAL.get_or_init(|| Tracer::with_enabled(trace_file().is_some()))
+}
+
+/// The Chrome-trace output file named by [`TRACE_FILE_ENV`], if any.
+fn trace_file() -> Option<PathBuf> {
+    std::env::var_os(TRACE_FILE_ENV).map(PathBuf::from)
 }
 
 /// Install `tracer` as the process-wide tracer. Returns `false` (and
@@ -458,14 +452,13 @@ pub fn install_global(tracer: Tracer) -> bool {
 /// write the trace there and return the path. Safe to call more than
 /// once (later calls rewrite the longer trace).
 pub fn flush_global() -> io::Result<Option<PathBuf>> {
-    let Some(path) = std::env::var_os(TRACE_FILE_ENV) else {
+    let Some(path) = trace_file() else {
         return Ok(None);
     };
     let tracer = global();
     if !tracer.is_enabled() && tracer.is_empty() {
         return Ok(None);
     }
-    let path = PathBuf::from(path);
     tracer.write(&path)?;
     Ok(Some(path))
 }

@@ -13,7 +13,7 @@
 //! load tolerates.
 //!
 //! The disk layer can be size-capped: set [`CACHE_MAX_BYTES_ENV`] (or call
-//! [`SimCache::with_disk_capped`]) and whenever the directory's `.sims`
+//! [`SimCache::with_disk_limits`]) and whenever the directory's `.sims`
 //! files exceed the budget after an append, whole oldest-modified context
 //! files are evicted until it fits. Whole-file granularity matches the
 //! access pattern — a context's sets are loaded together — and keeps every
@@ -109,25 +109,14 @@ impl SimCache {
     /// [`CACHE_MAX_BYTES_ENV`] and the age budget from
     /// [`CACHE_MAX_AGE_ENV`]; absent or zero means unbounded / never.
     pub fn with_disk(dir: impl Into<PathBuf>) -> io::Result<SimCache> {
-        let budget = std::env::var(CACHE_MAX_BYTES_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&b| b > 0);
-        let max_age = std::env::var(CACHE_MAX_AGE_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&s| s > 0)
-            .map(Duration::from_secs);
-        SimCache::with_disk_limits(dir, budget, max_age)
-    }
-
-    /// [`SimCache::with_disk`] with an explicit byte budget (`None` =
-    /// unbounded), ignoring the environment.
-    pub fn with_disk_capped(
-        dir: impl Into<PathBuf>,
-        max_bytes: Option<u64>,
-    ) -> io::Result<SimCache> {
-        SimCache::with_disk_limits(dir, max_bytes, None)
+        let budget = |name| {
+            std::env::var(name)
+                .ok()
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .filter(|&b| b > 0)
+        };
+        let max_age = budget(CACHE_MAX_AGE_ENV).map(Duration::from_secs);
+        SimCache::with_disk_limits(dir, budget(CACHE_MAX_BYTES_ENV), max_age)
     }
 
     /// [`SimCache::with_disk`] with explicit byte and age budgets,
@@ -429,7 +418,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         // Each line is "xx nnnn\n" = 8 bytes; budget of 20 bytes holds at
         // most two single-line files.
-        let c = SimCache::with_disk_capped(&dir, Some(20)).expect("create");
+        let c = SimCache::with_disk_limits(&dir, Some(20), None).expect("create");
         let old = ContextId(1);
         c.insert(old, EventSet::from_bits(0x01), 1000);
         // Ensure a strictly older mtime even on coarse-resolution
@@ -526,7 +515,7 @@ mod tests {
     fn unbounded_budget_never_evicts() {
         let dir = std::env::temp_dir().join(format!("simcache-nogc-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let c = SimCache::with_disk_capped(&dir, None).expect("create");
+        let c = SimCache::with_disk_limits(&dir, None, None).expect("create");
         for i in 0..16 {
             c.insert(ContextId(i), EventSet::from_bits(0x01), i);
         }

@@ -14,10 +14,10 @@ use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
 use icost::{icost, icost_of_sets, CostOracle};
-use uarch_audit::{audit_attribution, AuditConfig};
+use uarch_audit::audit_attribution;
 use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
 use uarch_obs::ledger::LedgerRecord;
-use uarch_obs::CounterSampler;
+use uarch_obs::{CounterSampler, COUNTER_INTERVAL};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
@@ -103,8 +103,8 @@ impl std::fmt::Display for Query {
 pub struct Runner {
     threads: usize,
     cache: SimCache,
-    /// Programmatic audit override; `None` consults `ICOST_AUDIT`.
-    audit: Option<AuditConfig>,
+    /// Audit regardless of `ICOST_AUDIT` (see [`Runner::with_audit`]).
+    audit: bool,
 }
 
 /// Simulation contexts this process has already audited — auditing is
@@ -128,15 +128,15 @@ impl Runner {
         Runner {
             threads: default_threads(),
             cache: SimCache::new(),
-            audit: None,
+            audit: false,
         }
     }
 
-    /// Force attribution auditing with `cfg`, regardless of the
-    /// `ICOST_AUDIT` environment (tests and embedders; the env-var path
-    /// is the production switch).
-    pub fn with_audit(mut self, cfg: AuditConfig) -> Runner {
-        self.audit = Some(cfg);
+    /// Force attribution auditing regardless of the `ICOST_AUDIT`
+    /// environment (tests and embedders; the env-var path is the
+    /// production switch).
+    pub fn with_audit(mut self) -> Runner {
+        self.audit = true;
         self
     }
 
@@ -247,7 +247,7 @@ impl Runner {
             CounterSampler::start(
                 tracer.clone(),
                 vec![oracle.metrics().clone(), self.cache.metrics().clone()],
-                CounterSampler::interval_from_env(),
+                COUNTER_INTERVAL,
             )
         });
         let answers = oracle.run(queries);
@@ -278,7 +278,7 @@ impl Runner {
     /// stall counters and append an `audit` ledger record — once per
     /// simulation context per process, and only when auditing is on
     /// (`ICOST_AUDIT=1` or [`Runner::with_audit`]) and somebody will
-    /// read the record. Off-path cost is one env lookup.
+    /// read the record. Off-path cost is one cached flag read.
     fn maybe_audit(
         &self,
         config: &MachineConfig,
@@ -288,9 +288,9 @@ impl Runner {
         ctx: &str,
         run: Option<u64>,
     ) {
-        let Some(cfg) = self.audit.or_else(AuditConfig::from_env) else {
+        if !self.audit && !uarch_audit::enabled() {
             return;
-        };
+        }
         let ledger = uarch_obs::ledger::global();
         if !ledger.is_enabled() && !ledger.has_subscribers() {
             return;
@@ -311,7 +311,7 @@ impl Runner {
         let graph = DepGraph::build(trace, &result, config);
         let mut scratch = LaneScratch::new();
         let (baseline, costs, pairs) = breakdown_lattice(&graph, DEFAULT_CHUNK, &mut scratch);
-        let audit = audit_attribution("run", baseline, &costs, &pairs, &result.stalls, &cfg);
+        let audit = audit_attribution("run", baseline, &costs, &pairs, &result.stalls);
         let run = run.unwrap_or_else(|| ledger.next_run_id());
         ledger.append(&LedgerRecord::Audit(audit.to_record(run)));
     }

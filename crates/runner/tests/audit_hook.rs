@@ -5,7 +5,6 @@
 //! not re-audit. Lives in its own integration binary because both the
 //! global ledger and the audited-context memo are process-wide.
 
-use uarch_audit::AuditConfig;
 use uarch_obs::ledger::{install_global, parse_ledger, Ledger, LedgerRecord};
 use uarch_runner::{Query, Runner};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, TraceBuilder};
@@ -39,9 +38,7 @@ fn audits_fire_once_per_context_and_are_self_contained() {
     let cfg = MachineConfig::table6();
     let t = kernel(4096);
     let q = [Query::Cost(EventSet::single(EventClass::Dmiss))];
-    let runner = Runner::new()
-        .with_threads(2)
-        .with_audit(AuditConfig::default());
+    let runner = Runner::new().with_threads(2).with_audit();
 
     runner.run(&cfg, &t, &q);
     runner.run(&cfg, &t, &q);

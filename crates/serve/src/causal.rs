@@ -22,11 +22,8 @@ use std::sync::Mutex;
 use uarch_obs::json;
 use uarch_obs::TraceEvent;
 
-/// Environment variable bounding the receipt ring (entries).
-pub const RECEIPTS_MAX_ENV: &str = "ICOST_RECEIPTS_MAX";
-
-/// Default receipt-ring capacity.
-pub const DEFAULT_RECEIPTS_MAX: usize = 512;
+/// Receipt-ring capacity of a [`ServeHost`](crate::ServeHost).
+pub const RECEIPTS_MAX: usize = 512;
 
 /// How many slowest receipts survive ring eviction.
 pub const SLOW_LOG_CAPACITY: usize = 16;
@@ -104,16 +101,6 @@ impl ReceiptStore {
             slow: Mutex::new(Vec::new()),
             capacity: capacity.max(1),
         }
-    }
-
-    /// A store sized by `ICOST_RECEIPTS_MAX` (default
-    /// [`DEFAULT_RECEIPTS_MAX`]).
-    pub fn from_env() -> ReceiptStore {
-        let capacity = std::env::var(RECEIPTS_MAX_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_RECEIPTS_MAX);
-        ReceiptStore::new(capacity)
     }
 
     /// Record one receipt (ring + slow-log maintenance).

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use uarch_audit::{audit_attribution, AuditConfig, AuditMetrics};
+use uarch_audit::{audit_attribution, AuditMetrics};
 use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
 use uarch_obs::json::{self, Value};
 use uarch_obs::ledger::{LedgerRecord, ReportRecord};
@@ -24,7 +24,7 @@ use uarch_runner::{context_id, ContextId, Query, RunReport, Runner};
 use uarch_sim::{Idealization, PipelineStalls, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
-use crate::causal::{span_tree_json, Receipt, ReceiptStore};
+use crate::causal::{span_tree_json, Receipt, ReceiptStore, RECEIPTS_MAX};
 use crate::http::Request;
 use crate::ingest::{IngestOutcome, IngestSessions};
 
@@ -103,10 +103,10 @@ pub struct ServeHost {
     graph_ctx: ContextId,
     /// The `POST /ingest` session table (and its `ingest.*` metrics).
     ingest: IngestSessions,
-    /// Audit tolerances in effect for background (streamed-window)
-    /// audits; `None` when `ICOST_AUDIT` is off. `POST /explain` always
-    /// answers, falling back to default tolerances.
-    audit_cfg: Option<AuditConfig>,
+    /// Whether streamed windows are audited in the background
+    /// (`ICOST_AUDIT=1` or [`ServeHost::with_audit`]). `POST /explain`
+    /// always answers.
+    audit: bool,
     /// The `audit.*` registry `/metrics` renders.
     audit_registry: Registry,
     /// Shared outcome counters: `/explain` audits and streamed-window
@@ -153,14 +153,14 @@ impl ServeHost {
         let baseline = Simulator::new(&ctx.config).run(&ctx.trace, Idealization::none());
         let baseline_stalls = baseline.stalls;
         let graph = DepGraph::build(&ctx.trace, &baseline, &ctx.config);
-        let audit_cfg = AuditConfig::from_env();
+        let audit = uarch_audit::enabled();
         let audit_registry = Registry::new();
         let audit_metrics = AuditMetrics::bind(&audit_registry);
         let serve_registry = Registry::new();
         let sim_ctx = context_id(&ctx.config, &ctx.trace, &ctx.warm_data, &ctx.warm_code);
         let graph_ctx = sim_ctx.tagged("graph");
         let calibrator = Calibrator::new();
-        if let Some(path) = std::env::var_os(uarch_obs::ledger::LEDGER_FILE_ENV) {
+        if let Some(path) = uarch_obs::ledger::ledger_file() {
             if let Ok(text) = std::fs::read_to_string(&path) {
                 // Best-effort: a missing or malformed ledger just means
                 // the first auto batches escalate while recalibrating.
@@ -190,7 +190,7 @@ impl ServeHost {
             sse_clients: serve_registry.gauge("serve.sse_clients"),
             scrape_us: serve_registry.histogram("serve.scrape_us", &SCRAPE_US_BOUNDS),
             query_us: serve_registry.histogram("serve.query_us", &QUERY_US_BOUNDS),
-            receipts: ReceiptStore::from_env(),
+            receipts: ReceiptStore::new(RECEIPTS_MAX),
             query_exemplar: Mutex::new(None),
             serve_registry,
             runner_registry: Registry::new(),
@@ -202,12 +202,13 @@ impl ServeHost {
             graph_ctx,
             ingest: {
                 let ingest = IngestSessions::new(ctx.config.clone());
-                match audit_cfg {
-                    Some(cfg) => ingest.with_audit(cfg, audit_metrics.clone()),
-                    None => ingest,
+                if audit {
+                    ingest.with_audit(audit_metrics.clone())
+                } else {
+                    ingest
                 }
             },
-            audit_cfg,
+            audit,
             audit_registry,
             audit_metrics,
             baseline_stalls,
@@ -222,13 +223,13 @@ impl ServeHost {
 
     /// Enable streamed-window audits programmatically (tests and
     /// embedders; the serve binary reads `ICOST_AUDIT` instead).
-    pub fn with_audit(mut self, cfg: AuditConfig) -> ServeHost {
-        self.audit_cfg = Some(cfg);
+    pub fn with_audit(mut self) -> ServeHost {
+        self.audit = true;
         let ingest = std::mem::replace(
             &mut self.ingest,
             IngestSessions::new(self.ctx.config.clone()),
         );
-        self.ingest = ingest.with_audit(cfg, self.audit_metrics.clone());
+        self.ingest = ingest.with_audit(self.audit_metrics.clone());
         self
     }
 
@@ -374,7 +375,7 @@ impl ServeHost {
             ledger.appended(),
             ledger.metrics().snapshot().counter("ledger.events.dropped"),
             uarch_obs::global().dropped(),
-            self.audit_cfg.is_some(),
+            self.audit,
             snap.counter("audit.checks"),
             refuted_rate,
         )
@@ -540,13 +541,12 @@ impl ServeHost {
     pub fn handle_explain(&self, body: &[u8]) -> Result<String, String> {
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
         let range = parse_explain_body(text)?;
-        let cfg = self.audit_cfg.unwrap_or_default();
         let audit = match range {
             None => {
                 let mut scratch = LaneScratch::new();
                 let (baseline, costs, pairs) =
                     breakdown_lattice(&self.graph, DEFAULT_CHUNK, &mut scratch);
-                audit_attribution("run", baseline, &costs, &pairs, &self.baseline_stalls, &cfg)
+                audit_attribution("run", baseline, &costs, &pairs, &self.baseline_stalls)
             }
             Some((start, end)) => {
                 let len = self.ctx.trace.len() as u64;
@@ -569,7 +569,6 @@ impl ServeHost {
                     &costs,
                     &pairs,
                     &result.stalls,
-                    &cfg,
                 )
             }
         };

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use uarch_audit::{audit_attribution, AuditConfig, AuditMetrics};
+use uarch_audit::{audit_attribution, AuditMetrics};
 use uarch_graph::{StreamingBuilder, DEFAULT_WINDOW};
 use uarch_obs::json::{self, Value};
 use uarch_obs::ledger::{LedgerRecord, WindowRecord};
@@ -84,7 +84,7 @@ pub struct IngestSessions {
     /// When set, every retired window is cross-validated against its
     /// baseline stall counters and the audit lands on the ledger right
     /// after the window record (see [`IngestSessions::with_audit`]).
-    audit: Option<(AuditConfig, AuditMetrics)>,
+    audit: Option<AuditMetrics>,
 }
 
 /// What one ingest request did (rendered as the response JSON).
@@ -138,12 +138,12 @@ impl IngestSessions {
         }
     }
 
-    /// Audit every retired window under `cfg`, counting outcomes in
-    /// `metrics` (cloned handles — bind them into whatever registry
-    /// should render the `audit.*` families, so streamed-window audits
-    /// and `/explain` audits share one running refuted-rate).
-    pub fn with_audit(mut self, cfg: AuditConfig, metrics: AuditMetrics) -> IngestSessions {
-        self.audit = Some((cfg, metrics));
+    /// Audit every retired window, counting outcomes in `metrics`
+    /// (cloned handles — bind them into whatever registry should render
+    /// the `audit.*` families, so streamed-window audits and `/explain`
+    /// audits share one running refuted-rate).
+    pub fn with_audit(mut self, metrics: AuditMetrics) -> IngestSessions {
+        self.audit = Some(metrics);
         self
     }
 
@@ -261,14 +261,13 @@ impl IngestSessions {
         self.window_evals.inc();
         self.window_eval_us.record(window.eval_us);
         self.window_lag.set(window.frontier_lag as i64);
-        if let Some((cfg, metrics)) = &self.audit {
+        if let Some(metrics) = &self.audit {
             let audit = audit_attribution(
                 &format!("window {}", window.window),
                 window.baseline,
                 &window.costs,
                 &window.all_pairs,
                 &window.stalls,
-                cfg,
             );
             let record = audit.to_record(run);
             metrics.observe(&record);
@@ -513,8 +512,8 @@ mod tests {
     #[test]
     fn audited_sessions_emit_one_audit_per_retired_window() {
         let registry = Registry::new();
-        let table = IngestSessions::new(MachineConfig::table6())
-            .with_audit(AuditConfig::default(), AuditMetrics::bind(&registry));
+        let table =
+            IngestSessions::new(MachineConfig::table6()).with_audit(AuditMetrics::bind(&registry));
         let sub = uarch_obs::ledger::global().subscribe(256);
         let insts = sample_insts(100);
         let outcome = table

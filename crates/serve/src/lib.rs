@@ -56,7 +56,7 @@ pub mod http;
 pub mod ingest;
 pub mod server;
 
-pub use causal::{Receipt, ReceiptStore, DEFAULT_RECEIPTS_MAX, RECEIPTS_MAX_ENV};
+pub use causal::{Receipt, ReceiptStore, RECEIPTS_MAX};
 pub use host::{parse_query_body, Backend, ServeContext, ServeHost};
 pub use ingest::{inst_to_json, IngestOutcome, IngestSessions};
 pub use server::{Server, DEFAULT_ADDR, DEFAULT_WORKERS, MAX_SSE_CLIENTS, SERVE_ADDR_ENV};
