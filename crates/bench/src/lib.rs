@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use icost::{Breakdown, CostOracle};
 use uarch_graph::DepGraph;
 use uarch_obs::ledger::Ledger;
-use uarch_runner::{context_id, Backend, Oracle, Runner, SimCache};
+use uarch_runner::{Backend, Oracle, Runner, SimCache};
 use uarch_sim::{Idealization, SimResult, Simulator};
 use uarch_trace::{EventClass, MachineConfig, Trace};
 use uarch_workloads::{generate, BenchProfile, Workload};
@@ -119,27 +119,27 @@ pub fn harness_runner() -> Runner {
 /// re-simulation with parallel deduplicated prefetch, feeding the shared
 /// cache.
 pub fn multisim_oracle<'a>(w: &'a Workload, config: &'a MachineConfig) -> Oracle<'a> {
-    harness_runner().oracle(Backend::Sim {
+    harness_runner().oracle(Backend::sim_warmed(
         config,
-        trace: &w.trace,
-        warm_data: &w.warm_data,
-        warm_code: &w.warm_code,
-    })
+        &w.trace,
+        &w.warm_data,
+        &w.warm_code,
+    ))
 }
 
 /// Cached lane-batched graph oracle over an already-built dependence
 /// graph: breakdown prefetch batches run [`MAX_LANES`]
 /// (uarch_graph::MAX_LANES) subsets per instruction sweep. The cache
-/// context is keyed by the *workload* that produced the graph (stable
-/// across rebuilds) and tagged `"graph"` so approximate graph results can
-/// never alias the multisim ground truth for the same workload.
+/// context is the *workload*'s graph key (stable across rebuilds, see
+/// [`Backend::graph_of`]), so approximate graph results can never alias
+/// the multisim ground truth for the same workload.
 pub fn workload_graph_oracle<'g>(
     graph: &'g DepGraph,
     w: &Workload,
     config: &MachineConfig,
 ) -> Oracle<'g> {
-    let ctx = context_id(config, &w.trace, &w.warm_data, &w.warm_code).tagged("graph");
-    harness_runner().oracle(Backend::Graph { graph, ctx })
+    let sim = Backend::sim_warmed(config, &w.trace, &w.warm_data, &w.warm_code);
+    harness_runner().oracle(sim.graph_of(graph))
 }
 
 /// Graph-based Table-4-style breakdown for one generated workload.

@@ -706,8 +706,7 @@ fn plan_report(path: &str, json: bool) -> Result<String, String> {
     }
     let calibrator = uarch_plan::Calibrator::new();
     let calibs = calibrator.replay(&records) as u64;
-    let cfg = uarch_plan::PlanConfig::default();
-    let contexts = calibrator.snapshot(&cfg);
+    let contexts = calibrator.snapshot();
     let mean_confidence = (answers > 0).then(|| confidence_pm_sum as f64 / answers as f64 / 1000.0);
 
     if json {

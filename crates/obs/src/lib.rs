@@ -59,7 +59,7 @@ mod span;
 
 pub use causal::TraceCtx;
 pub use profile::Profile;
-pub use registry::{Counter, Gauge, Histogram, Registry, Snapshot, SnapshotValue};
+pub use registry::{lock_unpoisoned, Counter, Gauge, Histogram, Registry, Snapshot, SnapshotValue};
 pub use sampler::{CounterSampler, COUNTER_INTERVAL};
 pub use span::{
     flush_global, global, install_global, Span, TraceEvent, Tracer, TRACE_FILE_ENV,

@@ -18,8 +18,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// sets of independent atomics or append-only buffers, so a panic in
 /// one recording thread never leaves them inconsistent — refusing all
 /// later snapshots (and wedging `/metrics`, the sampler stop path, or
-/// `flush_guard()`) would be strictly worse.
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// `flush_guard()`) would be strictly worse. Other crates use it for
+/// stores with the same property (every update is one insert or push).
+pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 

@@ -6,7 +6,7 @@
 //! `|graph − sim|` is one sample of the graph's fidelity for that
 //! workload context. The [`Calibrator`] accumulates those samples keyed
 //! by `(sim context, graph context)` and fits a per-set tolerance from
-//! a configurable quantile times a safety factor — the number the
+//! the 95th-percentile residual times a safety factor — the number the
 //! confidence model turns into "how wrong could this graph answer be".
 //!
 //! Samples arrive two ways: incrementally, as the planner escalates
@@ -16,15 +16,27 @@
 //! does not begin life uncalibrated.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use uarch_obs::ledger::{CalibRecord, LedgerRecord};
-
-use crate::PlanConfig;
+use uarch_obs::lock_unpoisoned;
 
 /// Residual samples kept per `(sim ctx, graph ctx)` pair; beyond this
 /// the oldest sample rolls off so the fit tracks the recent regime.
 const MAX_SAMPLES: usize = 4096;
+
+/// Residual samples required before a context pair counts as
+/// calibrated at all.
+const MIN_SAMPLES: usize = 8;
+
+/// Residual quantile the tolerance is fitted from.
+const QUANTILE: f64 = 0.95;
+
+/// Safety factor applied on top of the fitted quantile.
+const SAFETY: f64 = 2.0;
+
+/// Lower bound on the fitted per-set tolerance, in cycles.
+const TOLERANCE_FLOOR: u64 = 1;
 
 /// Sentinel `set` name on a `calib` ledger record that marks a context
 /// pair refuted by the attribution auditor instead of carrying a
@@ -46,7 +58,9 @@ struct CalibratorInner {
 
 /// Shared, thread-safe store of per-context residual history. Cloning
 /// hands out another handle to the same store, so a long-lived server
-/// can thread one calibrator through every planner it builds.
+/// can thread one calibrator through every planner it builds. Every
+/// update is one push or insert, so a thread that panicked holding the
+/// lock leaves the store consistent and later callers carry on.
 #[derive(Debug, Clone, Default)]
 pub struct Calibrator {
     inner: Arc<Mutex<CalibratorInner>>,
@@ -68,7 +82,7 @@ pub struct ContextCalibration {
     /// Largest absolute residual seen, in cycles.
     pub max: u64,
     /// The per-set tolerance the confidence model uses, or `None`
-    /// while under `min_samples`.
+    /// while under the minimum sample count.
     pub tolerance: Option<u64>,
     /// Whether the attribution auditor has refuted this context pair
     /// (see [`Calibrator::mark_refuted`]).
@@ -81,11 +95,15 @@ impl Calibrator {
         Calibrator::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, CalibratorInner> {
+        lock_unpoisoned(&self.inner)
+    }
+
     /// Record one paired observation of `cost(set)`: `graph_cost` from
     /// the dependence-graph kernel, `sim_cost` from re-simulation.
     pub fn observe(&self, sim_ctx: &str, graph_ctx: &str, graph_cost: i64, sim_cost: i64) {
         let residual = graph_cost.abs_diff(sim_cost);
-        let mut inner = self.inner.lock().expect("calibrator poisoned");
+        let mut inner = self.lock();
         let samples = inner
             .residuals
             .entry((sim_ctx.to_string(), graph_ctx.to_string()))
@@ -102,9 +120,7 @@ impl Calibrator {
     /// restores the escalation rule. Idempotent.
     pub fn mark_refuted(&self, sim_ctx: &str, graph_ctx: &str) {
         let fresh = self
-            .inner
             .lock()
-            .expect("calibrator poisoned")
             .refuted
             .insert((sim_ctx.to_string(), graph_ctx.to_string()));
         let ledger = uarch_obs::ledger::global();
@@ -122,9 +138,7 @@ impl Calibrator {
 
     /// Whether the attribution auditor has refuted this context pair.
     pub fn is_refuted(&self, sim_ctx: &str, graph_ctx: &str) -> bool {
-        self.inner
-            .lock()
-            .expect("calibrator poisoned")
+        self.lock()
             .refuted
             .contains(&(sim_ctx.to_string(), graph_ctx.to_string()))
     }
@@ -139,9 +153,7 @@ impl Calibrator {
         for record in records {
             if let LedgerRecord::Calib(c) = record {
                 if c.set == AUDIT_REFUTED_SET {
-                    self.inner
-                        .lock()
-                        .expect("calibrator poisoned")
+                    self.lock()
                         .refuted
                         .insert((c.sim_ctx.clone(), c.graph_ctx.clone()));
                 } else {
@@ -162,56 +174,52 @@ impl Calibrator {
 
     /// Residual samples held for one context pair.
     pub fn samples(&self, sim_ctx: &str, graph_ctx: &str) -> usize {
-        self.inner
-            .lock()
-            .expect("calibrator poisoned")
+        self.lock()
             .residuals
             .get(&(sim_ctx.to_string(), graph_ctx.to_string()))
             .map_or(0, VecDeque::len)
     }
 
-    /// The fitted per-set tolerance for one context pair: the
-    /// configured residual quantile times the safety factor, floored at
-    /// `tolerance_floor`. `None` until `min_samples` observations exist
-    /// — an uncalibrated context must escalate, not guess.
-    pub fn tolerance(&self, sim_ctx: &str, graph_ctx: &str, cfg: &PlanConfig) -> Option<u64> {
-        let inner = self.inner.lock().expect("calibrator poisoned");
-        let samples = inner
+    /// The fitted per-set tolerance for one context pair: twice its
+    /// 95th-percentile residual, at least one cycle. `None` until it
+    /// holds 8 residuals — an uncalibrated context must escalate, not
+    /// guess.
+    pub fn tolerance(&self, sim_ctx: &str, graph_ctx: &str) -> Option<u64> {
+        fit(self
+            .lock()
             .residuals
-            .get(&(sim_ctx.to_string(), graph_ctx.to_string()))?;
-        if samples.len() < cfg.min_samples.max(1) {
-            return None;
-        }
-        let q = quantile(samples, cfg.quantile);
-        Some(((q as f64 * cfg.safety).ceil() as u64).max(cfg.tolerance_floor))
+            .get(&(sim_ctx.to_string(), graph_ctx.to_string()))?)
     }
 
     /// Fitted state for every context pair, sorted by context ids.
-    pub fn snapshot(&self, cfg: &PlanConfig) -> Vec<ContextCalibration> {
-        let inner = self.inner.lock().expect("calibrator poisoned");
+    pub fn snapshot(&self) -> Vec<ContextCalibration> {
+        let inner = self.lock();
         inner
             .residuals
             .iter()
-            .map(|((sim_ctx, graph_ctx), samples)| {
-                let tolerance = (samples.len() >= cfg.min_samples.max(1)).then(|| {
-                    ((quantile(samples, cfg.quantile) as f64 * cfg.safety).ceil() as u64)
-                        .max(cfg.tolerance_floor)
-                });
-                ContextCalibration {
-                    sim_ctx: sim_ctx.clone(),
-                    graph_ctx: graph_ctx.clone(),
-                    samples: samples.len(),
-                    p50: quantile(samples, 0.5),
-                    p95: quantile(samples, 0.95),
-                    max: samples.iter().copied().max().unwrap_or(0),
-                    tolerance,
-                    refuted: inner
-                        .refuted
-                        .contains(&(sim_ctx.clone(), graph_ctx.clone())),
-                }
+            .map(|((sim_ctx, graph_ctx), samples)| ContextCalibration {
+                sim_ctx: sim_ctx.clone(),
+                graph_ctx: graph_ctx.clone(),
+                samples: samples.len(),
+                p50: quantile(samples, 0.5),
+                p95: quantile(samples, 0.95),
+                max: samples.iter().copied().max().unwrap_or(0),
+                tolerance: fit(samples),
+                refuted: inner
+                    .refuted
+                    .contains(&(sim_ctx.clone(), graph_ctx.clone())),
             })
             .collect()
     }
+}
+
+/// The per-set tolerance fitted from `samples`:
+/// `max(floor, ceil(q95 × safety))`. `None` until [`MIN_SAMPLES`]
+/// observations exist — an uncalibrated context must escalate, not
+/// guess.
+fn fit(samples: &VecDeque<u64>) -> Option<u64> {
+    (samples.len() >= MIN_SAMPLES)
+        .then(|| ((quantile(samples, QUANTILE) as f64 * SAFETY).ceil() as u64).max(TOLERANCE_FLOOR))
 }
 
 /// The `q`-quantile of `samples` (nearest-rank, clamped to [0, 1]).
@@ -230,41 +238,38 @@ mod tests {
     use super::*;
     use uarch_obs::ledger::CalibRecord;
 
-    fn cfg(min_samples: usize) -> PlanConfig {
-        PlanConfig {
-            min_samples,
-            ..PlanConfig::default()
-        }
-    }
-
     #[test]
     fn tolerance_needs_min_samples_then_tracks_quantile() {
         let c = Calibrator::new();
-        let cfg = cfg(4);
-        assert_eq!(c.tolerance("s", "g", &cfg), None, "empty: uncalibrated");
-        for r in [0i64, 1, 2, 3] {
+        assert_eq!(c.tolerance("s", "g"), None, "empty: uncalibrated");
+        for r in 0..MIN_SAMPLES as i64 - 1 {
             c.observe("s", "g", r, 0);
         }
-        let tol = c.tolerance("s", "g", &cfg).expect("calibrated");
-        // q95 of {0,1,2,3} is 3; default safety doubles it.
-        assert_eq!(tol, (3.0 * cfg.safety).ceil() as u64);
-        assert_eq!(c.samples("s", "g"), 4);
+        assert_eq!(c.tolerance("s", "g"), None, "one sample short");
+        c.observe("s", "g", MIN_SAMPLES as i64 - 1, 0);
+        let tol = c.tolerance("s", "g").expect("calibrated");
+        // Residuals 0..MIN_SAMPLES: with fewer than 21 samples the
+        // nearest-rank q95 is the largest, then the safety factor.
+        let q95 = quantile(&(0..MIN_SAMPLES as u64).collect(), QUANTILE);
+        assert_eq!(q95, MIN_SAMPLES as u64 - 1);
+        assert_eq!(tol, (q95 as f64 * SAFETY).ceil() as u64);
+        assert_eq!(c.samples("s", "g"), MIN_SAMPLES);
         assert_eq!(c.samples("s", "other"), 0, "pairs are independent");
     }
 
     #[test]
     fn residuals_are_absolute_and_floored() {
         let c = Calibrator::new();
-        let mut cfg = cfg(1);
-        cfg.tolerance_floor = 5;
-        c.observe("s", "g", -10, -10);
+        for _ in 0..MIN_SAMPLES {
+            c.observe("s", "g", -10, -10);
+        }
         assert_eq!(
-            c.tolerance("s", "g", &cfg),
-            Some(5),
+            c.tolerance("s", "g"),
+            Some(TOLERANCE_FLOOR),
             "perfect agreement still floors"
         );
         c.observe("s", "g", -10, 10);
-        let snap = c.snapshot(&cfg);
+        let snap = c.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].max, 20, "residual is |graph - sim|");
     }
@@ -279,17 +284,15 @@ mod tests {
             graph_cost: 100,
             sim_cost: 93,
         });
-        let text = format!(
-            "{}\n{{\"kind\":\"future\",\"x\":1}}\n{}\n",
-            calib.to_json_line(),
-            calib.to_json_line()
-        );
-        assert_eq!(c.replay_text(&text).expect("lenient"), 2);
-        assert_eq!(c.samples("s", "g"), 2);
-        let mut cfg = cfg(2);
-        cfg.safety = 1.0;
-        cfg.tolerance_floor = 1;
-        assert_eq!(c.tolerance("s", "g", &cfg), Some(7));
+        let mut text = String::from("{\"kind\":\"future\",\"x\":1}\n");
+        for _ in 0..MIN_SAMPLES {
+            text += &calib.to_json_line();
+            text += "\n";
+        }
+        assert_eq!(c.replay_text(&text).expect("lenient"), MIN_SAMPLES);
+        assert_eq!(c.samples("s", "g"), MIN_SAMPLES);
+        let fitted = ((7.0 * SAFETY).ceil() as u64).max(TOLERANCE_FLOOR);
+        assert_eq!(c.tolerance("s", "g"), Some(fitted));
     }
 
     #[test]
@@ -318,9 +321,30 @@ mod tests {
 
         // Snapshot surfaces refutation next to the residual fit.
         c.observe("s", "g", 10, 7);
-        let snap = c.snapshot(&cfg(1));
+        let snap = c.snapshot();
         assert_eq!(snap.len(), 1);
         assert!(snap[0].refuted);
+        assert_eq!(snap[0].tolerance, None, "one sample is uncalibrated");
+    }
+
+    #[test]
+    fn a_panicked_lock_holder_does_not_break_later_callers() {
+        let c = Calibrator::new();
+        let handle = c.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = handle.inner.lock().expect("first lock");
+            panic!("poisoning the calibrator on purpose");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(c.inner.is_poisoned());
+        for _ in 0..MIN_SAMPLES {
+            c.observe("s", "g", 5, 5);
+        }
+        assert_eq!(c.tolerance("s", "g"), Some(TOLERANCE_FLOOR));
+        assert!(!c.is_refuted("s", "g"));
+        c.mark_refuted("s", "g");
+        assert!(c.is_refuted("s", "g"));
     }
 
     #[test]

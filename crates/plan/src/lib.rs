@@ -52,5 +52,5 @@ mod planner;
 
 pub use calibrate::{Calibrator, ContextCalibration, AUDIT_REFUTED_SET};
 pub use planner::{
-    assess, Assessment, PlanConfig, PlanProvenance, PlanReason, PlannedAnswer, Planner,
+    assess, bind_metrics, Assessment, PlanProvenance, PlanReason, PlannedAnswer, Planner,
 };

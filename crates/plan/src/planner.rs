@@ -22,14 +22,15 @@
 //! * the context pair has no fitted residual tolerance yet
 //!   (*uncalibrated* — always escalate);
 //! * the query is an `icost`/`icost_units` whose magnitude is within
-//!   `sign_margin` residual budgets of zero (*near-zero* — the sign
+//!   `SIGN_MARGIN` (2) residual budgets of zero (*near-zero* — the sign
 //!   decides the parallel/serial interaction category, so a residual
 //!   could flip the qualitative answer);
 //! * the event sets touch classes the dependence graph models with
-//!   fixed-capacity edge approximations (`poor_classes`, by default the
-//!   window/bandwidth resource classes), which scales confidence down;
+//!   fixed-capacity edge approximations (`POOR_CLASSES`, the
+//!   window/bandwidth resource classes), which scales confidence down
+//!   by `POOR_PENALTY` (0.6);
 //! * the calibrated confidence `|answer| / (|answer| + budget)` falls
-//!   below `confidence_threshold`, where the budget is the per-set
+//!   below `CONFIDENCE_THRESHOLD` (0.65), where the budget is the per-set
 //!   tolerance times the number of distinct non-empty sets the answer
 //!   was assembled from.
 
@@ -38,50 +39,24 @@ use std::collections::HashSet;
 use uarch_graph::DepGraph;
 use uarch_obs::ledger::{CalibRecord, LedgerRecord, PlanRecord};
 use uarch_obs::{Counter, Histogram, Registry};
-use uarch_runner::{context_id, Backend, ContextId, Query, RunReport, Runner, SimCache};
+use uarch_runner::{Backend, ContextId, Query, RunReport, Runner, SimCache};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Trace};
 
 use crate::calibrate::Calibrator;
 
-/// Tuning knobs for the confidence model.
-#[derive(Debug, Clone)]
-pub struct PlanConfig {
-    /// Residual samples required before a context pair counts as
-    /// calibrated at all.
-    pub min_samples: usize,
-    /// Residual quantile the tolerance is fitted from.
-    pub quantile: f64,
-    /// Lower bound on the fitted per-set tolerance, in cycles.
-    pub tolerance_floor: u64,
-    /// Safety factor applied on top of the fitted quantile.
-    pub safety: f64,
-    /// Minimum confidence for a graph answer to be served.
-    pub confidence_threshold: f64,
-    /// `icost` answers within this many residual budgets of zero are
-    /// sign-critical and always escalate.
-    pub sign_margin: f64,
-    /// Event classes the graph kernel models poorly (resource/capacity
-    /// classes approximated by fixed-distance edges).
-    pub poor_classes: EventSet,
-    /// Confidence multiplier applied when a query touches
-    /// `poor_classes`.
-    pub poor_penalty: f64,
-}
+/// Minimum confidence for a graph answer to be served.
+const CONFIDENCE_THRESHOLD: f64 = 0.65;
 
-impl Default for PlanConfig {
-    fn default() -> PlanConfig {
-        PlanConfig {
-            min_samples: 8,
-            quantile: 0.95,
-            tolerance_floor: 1,
-            safety: 2.0,
-            confidence_threshold: 0.65,
-            sign_margin: 2.0,
-            poor_classes: EventSet::from([EventClass::Win, EventClass::Bw]),
-            poor_penalty: 0.6,
-        }
-    }
-}
+/// `icost` answers within this many residual budgets of zero are
+/// sign-critical and always escalate.
+const SIGN_MARGIN: f64 = 2.0;
+
+/// Event classes the graph kernel models poorly (resource/capacity
+/// classes approximated by fixed-distance edges).
+const POOR_CLASSES: [EventClass; 2] = [EventClass::Win, EventClass::Bw];
+
+/// Confidence multiplier applied when a query touches [`POOR_CLASSES`].
+const POOR_PENALTY: f64 = 0.6;
 
 /// Which rung of the ladder served an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,12 +150,7 @@ pub struct Assessment {
 /// tolerance fitted for its context pair (`None` = uncalibrated).
 /// Exposed so the serve layer can attach honest confidence scores to
 /// plain `backend:"graph"` responses too.
-pub fn assess(
-    query: &Query,
-    answer: i64,
-    per_set_tolerance: Option<u64>,
-    cfg: &PlanConfig,
-) -> Assessment {
+pub fn assess(query: &Query, answer: i64, per_set_tolerance: Option<u64>) -> Assessment {
     let Some(per_set) = per_set_tolerance else {
         return Assessment {
             confidence: 0.0,
@@ -194,11 +164,11 @@ pub fn assess(
     let magnitude = answer.unsigned_abs();
     let raw = magnitude as f64 / (magnitude as f64 + budget as f64);
     let poor = !query_classes(query)
-        .intersection(cfg.poor_classes)
+        .intersection(EventSet::from(POOR_CLASSES))
         .is_empty();
-    let confidence = if poor { raw * cfg.poor_penalty } else { raw };
+    let confidence = if poor { raw * POOR_PENALTY } else { raw };
     let sign_critical = matches!(query, Query::Icost(_) | Query::IcostOfUnits(_));
-    if sign_critical && (magnitude as f64) < cfg.sign_margin * budget as f64 {
+    if sign_critical && (magnitude as f64) < SIGN_MARGIN * budget as f64 {
         return Assessment {
             confidence,
             reason: PlanReason::NearZero,
@@ -206,7 +176,7 @@ pub fn assess(
             escalate: true,
         };
     }
-    if confidence < cfg.confidence_threshold {
+    if confidence < CONFIDENCE_THRESHOLD {
         let reason = if poor {
             PlanReason::PoorClass
         } else {
@@ -257,7 +227,7 @@ fn select(queries: &[Query], indices: &[usize]) -> Vec<Query> {
 /// Registry-backed counters the planner updates (`plan.*` names; the
 /// serve layer renders them on `/metrics`).
 #[derive(Debug, Clone)]
-pub(crate) struct PlanMetrics {
+struct PlanMetrics {
     queries: Counter,
     cache_answers: Counter,
     graph_answers: Counter,
@@ -274,11 +244,17 @@ pub(crate) struct PlanMetrics {
     confidence_pct: Histogram,
 }
 
+/// Register every `plan.*` series on `registry` at zero, so an
+/// exposition renders them before the first planned batch.
+pub fn bind_metrics(registry: &Registry) {
+    PlanMetrics::bind(registry);
+}
+
 /// Bucket bounds for served-answer confidence, in percent.
 const CONFIDENCE_PCT_BOUNDS: [u64; 5] = [25, 50, 75, 90, 100];
 
 impl PlanMetrics {
-    pub(crate) fn bind(registry: &Registry) -> PlanMetrics {
+    fn bind(registry: &Registry) -> PlanMetrics {
         PlanMetrics {
             queries: registry.counter("plan.queries"),
             cache_answers: registry.counter("plan.answers.cache"),
@@ -318,24 +294,21 @@ impl PlanMetrics {
 #[derive(Debug)]
 pub struct Planner<'a> {
     runner: Runner,
-    config: &'a MachineConfig,
-    trace: &'a Trace,
-    warm_data: &'a [u64],
-    warm_code: &'a [u64],
-    graph: &'a DepGraph,
-    sim_ctx: ContextId,
-    graph_ctx: ContextId,
+    /// Ground truth: the exact rungs (cache and sim).
+    sim: Backend<'a>,
+    /// The cheap rung, keyed by the simulation context's graph key.
+    graph: Backend<'a>,
     calibrator: Calibrator,
-    cfg: PlanConfig,
     registry: Registry,
     metrics: PlanMetrics,
 }
 
 impl<'a> Planner<'a> {
     /// A planner bound to `runner`'s cache and thread budget, answering
-    /// queries about `(config, trace, warm sets)` with `graph` as the
-    /// cheap oracle. Pins both context files in the disk cache so
-    /// eviction policies cannot rotate out the calibration baseline.
+    /// queries about `(config, trace, warm sets)` with `graph` (built
+    /// from that context's baseline) as the cheap oracle. Fingerprints
+    /// the context; an owner that already holds its backend uses
+    /// [`Planner::from_backends`] instead.
     pub fn new(
         runner: &Runner,
         config: &'a MachineConfig,
@@ -344,31 +317,26 @@ impl<'a> Planner<'a> {
         warm_code: &'a [u64],
         graph: &'a DepGraph,
     ) -> Planner<'a> {
-        let sim_ctx = context_id(config, trace, warm_data, warm_code);
-        let graph_ctx = sim_ctx.tagged("graph");
-        runner.cache().pin(sim_ctx);
-        runner.cache().pin(graph_ctx);
+        let sim = Backend::sim_warmed(config, trace, warm_data, warm_code);
+        Planner::from_backends(runner, sim, sim.graph_of(graph))
+    }
+
+    /// A planner over already-fingerprinted backends: `sim` for ground
+    /// truth, `graph` for the cheap rung (normally `sim.graph_of(..)`).
+    /// Pins both contexts in the disk cache so eviction policies cannot
+    /// rotate out the calibration baseline.
+    pub fn from_backends(runner: &Runner, sim: Backend<'a>, graph: Backend<'a>) -> Planner<'a> {
+        runner.cache().pin(sim.ctx());
+        runner.cache().pin(graph.ctx());
         let registry = Registry::new();
         Planner {
             metrics: PlanMetrics::bind(&registry),
             runner: runner.clone(),
-            config,
-            trace,
-            warm_data,
-            warm_code,
+            sim,
             graph,
-            sim_ctx,
-            graph_ctx,
             calibrator: Calibrator::new(),
-            cfg: PlanConfig::default(),
             registry,
         }
-    }
-
-    /// Replace the confidence-model configuration.
-    pub fn with_config(mut self, cfg: PlanConfig) -> Planner<'a> {
-        self.cfg = cfg;
-        self
     }
 
     /// Share an existing calibrator (e.g. one replayed from the ledger,
@@ -396,24 +364,21 @@ impl<'a> Planner<'a> {
         &self.calibrator
     }
 
-    /// The confidence-model configuration in effect.
-    pub fn config(&self) -> &PlanConfig {
-        &self.cfg
-    }
-
     /// `(simulation context, graph context)` fingerprints.
     pub fn contexts(&self) -> (ContextId, ContextId) {
-        (self.sim_ctx, self.graph_ctx)
+        (self.sim.ctx(), self.graph.ctx())
+    }
+
+    /// The contexts as the calibrator keys them.
+    fn calibration_keys(&self) -> (String, String) {
+        (self.sim.ctx().to_string(), self.graph.ctx().to_string())
     }
 
     /// The per-set residual tolerance currently fitted for this
     /// planner's context pair, or `None` while uncalibrated.
     pub fn fitted_tolerance(&self) -> Option<u64> {
-        self.calibrator.tolerance(
-            &self.sim_ctx.to_string(),
-            &self.graph_ctx.to_string(),
-            &self.cfg,
-        )
+        let (sim_key, graph_key) = self.calibration_keys();
+        self.calibrator.tolerance(&sim_key, &graph_key)
     }
 
     /// Answer `queries` on one backend as a single batch, returning the
@@ -424,29 +389,14 @@ impl<'a> Planner<'a> {
         (answers, oracle.report())
     }
 
-    fn graph_backend(&self) -> Backend<'a> {
-        Backend::Graph {
-            graph: self.graph,
-            ctx: self.graph_ctx,
-        }
-    }
-
-    fn sim_backend(&self) -> Backend<'a> {
-        Backend::Sim {
-            config: self.config,
-            trace: self.trace,
-            warm_data: self.warm_data,
-            warm_code: self.warm_code,
-        }
-    }
-
     /// Read `cost(set)` for both contexts out of the cache, if both
     /// sides (and both baselines) are present.
     fn paired_costs(&self, cache: &SimCache, set: EventSet) -> Option<(i64, i64)> {
-        let g_base = cache.get(self.graph_ctx, EventSet::EMPTY).0?;
-        let s_base = cache.get(self.sim_ctx, EventSet::EMPTY).0?;
-        let g_t = cache.get(self.graph_ctx, set).0?;
-        let s_t = cache.get(self.sim_ctx, set).0?;
+        let (sim_ctx, graph_ctx) = self.contexts();
+        let g_base = cache.get(graph_ctx, EventSet::EMPTY).0?;
+        let s_base = cache.get(sim_ctx, EventSet::EMPTY).0?;
+        let g_t = cache.get(graph_ctx, set).0?;
+        let s_t = cache.get(sim_ctx, set).0?;
         Some((g_base as i64 - g_t as i64, s_base as i64 - s_t as i64))
     }
 
@@ -456,7 +406,7 @@ impl<'a> Planner<'a> {
     fn observe_residuals(&mut self, cache: &SimCache, sets: &[EventSet]) -> usize {
         let ledger = uarch_obs::ledger::global();
         let ledgered = ledger.is_enabled() || ledger.has_subscribers();
-        let (sim_key, graph_key) = (self.sim_ctx.to_string(), self.graph_ctx.to_string());
+        let (sim_key, graph_key) = self.calibration_keys();
         let mut seen = HashSet::new();
         let mut observed = 0;
         for &set in sets {
@@ -489,9 +439,9 @@ impl<'a> Planner<'a> {
     pub fn calibrate(&mut self, sets: &[EventSet]) -> usize {
         let cache = self.runner.cache().clone();
         let queries: Vec<Query> = sets.iter().map(|&set| Query::Cost(set)).collect();
-        let (_, graph_report) = self.answer(self.graph_backend(), &queries);
+        let (_, graph_report) = self.answer(self.graph, &queries);
         self.metrics.graph_evals.add(graph_report.sims_run);
-        let (_, sim_report) = self.answer(self.sim_backend(), &queries);
+        let (_, sim_report) = self.answer(self.sim, &queries);
         self.metrics.ground_truth_sims.add(sim_report.sims_run);
         let observed = self.observe_residuals(&cache, sets);
         let _ = uarch_obs::ledger::global().flush();
@@ -504,6 +454,7 @@ impl<'a> Planner<'a> {
     pub fn plan(&mut self, queries: &[Query]) -> (Vec<PlannedAnswer>, RunReport) {
         let ledger = uarch_obs::ledger::global();
         let cache = self.runner.cache().clone();
+        let sim_ctx = self.sim.ctx();
 
         // Rung 1: queries fully covered by cached ground truth.
         let cache_complete: Vec<bool> = queries
@@ -511,23 +462,22 @@ impl<'a> Planner<'a> {
             .map(|q| {
                 q.required_sets()
                     .iter()
-                    .all(|&s| cache.get(self.sim_ctx, s).0.is_some())
+                    .all(|&s| cache.get(sim_ctx, s).0.is_some())
             })
             .collect();
 
         // A refuted context pair skips the graph rung outright: the
         // auditor found its attributions disagreeing with counters, so
         // graph answers are untrustworthy regardless of residual fit.
-        let refuted = self
-            .calibrator
-            .is_refuted(&self.sim_ctx.to_string(), &self.graph_ctx.to_string());
+        let (sim_key, graph_key) = self.calibration_keys();
+        let refuted = self.calibrator.is_refuted(&sim_key, &graph_key);
 
         // Rung 2: one graph wave over everything not cache-complete.
         let pending: Vec<usize> = (0..queries.len()).filter(|&i| !cache_complete[i]).collect();
         let mut graph_values = vec![0i64; queries.len()];
         let mut graph_report = None;
         if !pending.is_empty() && !refuted {
-            let (values, report) = self.answer(self.graph_backend(), &select(queries, &pending));
+            let (values, report) = self.answer(self.graph, &select(queries, &pending));
             for (&i, value) in pending.iter().zip(values) {
                 graph_values[i] = value;
             }
@@ -536,7 +486,7 @@ impl<'a> Planner<'a> {
         }
 
         // Score every graph answer; collect the escalations.
-        let per_set_tol = self.fitted_tolerance();
+        let per_set_tol = self.calibrator.tolerance(&sim_key, &graph_key);
         let assessments: Vec<Option<Assessment>> = (0..queries.len())
             .map(|i| {
                 (!cache_complete[i]).then(|| {
@@ -548,7 +498,7 @@ impl<'a> Planner<'a> {
                             escalate: true,
                         }
                     } else {
-                        assess(&queries[i], graph_values[i], per_set_tol, &self.cfg)
+                        assess(&queries[i], graph_values[i], per_set_tol)
                     }
                 })
             })
@@ -565,7 +515,7 @@ impl<'a> Planner<'a> {
             .filter(|&&i| !cache_complete[i])
             .flat_map(|&i| queries[i].required_sets())
             .collect();
-        let (values, mut report) = self.answer(self.sim_backend(), &select(queries, &sim_indices));
+        let (values, mut report) = self.answer(self.sim, &select(queries, &sim_indices));
         for (&i, value) in sim_indices.iter().zip(values) {
             sim_values[i] = value;
         }
@@ -654,8 +604,7 @@ mod tests {
 
     #[test]
     fn uncalibrated_always_escalates() {
-        let cfg = PlanConfig::default();
-        let a = assess(&q_cost(&[EventClass::Dmiss]), 1_000_000, None, &cfg);
+        let a = assess(&q_cost(&[EventClass::Dmiss]), 1_000_000, None);
         assert!(a.escalate);
         assert_eq!(a.reason, PlanReason::Uncalibrated);
         assert_eq!(a.confidence, 0.0);
@@ -664,63 +613,56 @@ mod tests {
 
     #[test]
     fn large_magnitude_cost_is_trusted_small_is_not() {
-        let cfg = PlanConfig::default();
-        let big = assess(&q_cost(&[EventClass::Dmiss]), 10_000, Some(10), &cfg);
+        let big = assess(&q_cost(&[EventClass::Dmiss]), 10_000, Some(10));
         assert!(!big.escalate, "{big:?}");
         assert_eq!(big.reason, PlanReason::Trusted);
         assert!(big.confidence > 0.99);
         assert_eq!(big.tolerance, Some(10), "one non-empty set, one budget");
 
-        let small = assess(&q_cost(&[EventClass::Dmiss]), 3, Some(10), &cfg);
+        let small = assess(&q_cost(&[EventClass::Dmiss]), 3, Some(10));
         assert!(small.escalate);
         assert_eq!(small.reason, PlanReason::LowMargin);
     }
 
     #[test]
     fn near_zero_icost_is_sign_critical() {
-        let cfg = PlanConfig::default();
-        // icost(dmiss+win) draws on 4 sets, 3 non-empty → budget 30;
-        // |answer| under sign_margin × 30 = 60 must escalate...
+        // icost(dmiss+shalu) draws on 4 sets, 3 non-empty → budget 30;
+        // |answer| under SIGN_MARGIN × 30 = 60 must escalate...
         let q = q_icost(&[EventClass::Dmiss, EventClass::ShortAlu]);
-        let a = assess(&q, -45, Some(10), &cfg);
+        let a = assess(&q, -45, Some(10));
         assert!(a.escalate, "{a:?}");
         assert_eq!(a.reason, PlanReason::NearZero);
         assert_eq!(a.tolerance, Some(30));
         // ...while the same magnitude on a Cost query is merely scored.
-        let a = assess(&q_cost(&[EventClass::Dmiss]), 45, Some(10), &cfg);
+        let a = assess(&q_cost(&[EventClass::Dmiss]), 45, Some(10));
         assert_ne!(a.reason, PlanReason::NearZero);
         // A decisively signed icost clears the margin.
-        let a = assess(&q, 100_000, Some(10), &cfg);
+        let a = assess(&q, 100_000, Some(10));
         assert!(!a.escalate, "{a:?}");
         assert_eq!(a.reason, PlanReason::Trusted);
     }
 
     #[test]
     fn poor_classes_scale_confidence_down() {
-        let cfg = PlanConfig::default();
-        let clean = assess(&q_cost(&[EventClass::Dmiss]), 50, Some(10), &cfg);
-        let poor = assess(&q_cost(&[EventClass::Win]), 50, Some(10), &cfg);
+        let clean = assess(&q_cost(&[EventClass::Dmiss]), 50, Some(10));
+        let poor = assess(&q_cost(&[EventClass::Win]), 50, Some(10));
         assert!(poor.confidence < clean.confidence);
-        assert!((poor.confidence - clean.confidence * cfg.poor_penalty).abs() < 1e-12);
+        assert!((poor.confidence - clean.confidence * POOR_PENALTY).abs() < 1e-12);
         // Low enough to escalate, and the reason names the cause.
-        let a = assess(&q_cost(&[EventClass::Win]), 15, Some(10), &cfg);
+        let a = assess(&q_cost(&[EventClass::Win]), 15, Some(10));
         assert!(a.escalate);
         assert_eq!(a.reason, PlanReason::PoorClass);
     }
 
     #[test]
     fn budget_scales_with_distinct_nonempty_sets() {
-        let cfg = PlanConfig {
-            sign_margin: 0.0,
-            ..PlanConfig::default()
-        };
         // icost_units([dmiss, win]) requires {}, dmiss, win, dmiss+win:
         // three distinct non-empty sets.
         let q = Query::IcostOfUnits(vec![
             EventSet::single(EventClass::Dmiss),
             EventSet::single(EventClass::Win),
         ]);
-        let a = assess(&q, 1_000_000, Some(10), &cfg);
+        let a = assess(&q, 1_000_000, Some(10));
         assert_eq!(a.tolerance, Some(30));
     }
 }

@@ -5,7 +5,7 @@
 //! otherwise fully calibrated and would have been trusted.
 
 use uarch_graph::DepGraph;
-use uarch_plan::{PlanConfig, PlanProvenance, PlanReason, Planner};
+use uarch_plan::{PlanProvenance, PlanReason, Planner};
 use uarch_runner::{Query, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, TraceBuilder};
@@ -22,15 +22,16 @@ fn refuted_contexts_force_ground_truth() {
     let baseline = Simulator::new(&config).run(&trace, Idealization::none());
     let graph = DepGraph::build(&trace, &baseline, &config);
     let runner = Runner::new();
-    let mut planner =
-        Planner::new(&runner, &config, &trace, &[], &[], &graph).with_config(PlanConfig {
-            min_samples: 1,
-            ..PlanConfig::default()
-        });
+    let mut planner = Planner::new(&runner, &config, &trace, &[], &[], &graph);
 
-    // Calibrate so the pair would normally be eligible for graph serving.
-    let d = EventSet::single(EventClass::Dmiss);
-    planner.calibrate(&[d]);
+    // Calibrate so the pair would normally be eligible for graph
+    // serving: one residual per class is the planner's minimum of 8.
+    let singles: Vec<EventSet> = EventClass::ALL
+        .iter()
+        .copied()
+        .map(EventSet::single)
+        .collect();
+    planner.calibrate(&singles);
     assert!(planner.fitted_tolerance().is_some(), "pair is calibrated");
 
     let (sim_ctx, graph_ctx) = planner.contexts();

@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
-use uarch_obs::{Counter, Registry};
+use uarch_obs::{lock_unpoisoned, Counter, Registry};
 use uarch_trace::EventSet;
 
 use crate::fingerprint::ContextId;
@@ -142,7 +142,7 @@ impl SimCache {
     /// Exempt `ctx` from age expiry and size eviction. Pinning is
     /// shared by every handle to this cache and is idempotent.
     pub fn pin(&self, ctx: ContextId) {
-        self.pinned.lock().expect("cache poisoned").insert(ctx);
+        lock_unpoisoned(&self.pinned).insert(ctx);
     }
 
     /// The cache's own metrics registry (`cache.evictions`,

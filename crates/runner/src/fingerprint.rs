@@ -101,6 +101,15 @@ impl ContextId {
         tag.hash(&mut h);
         ContextId(h.finish())
     }
+
+    /// The key graph answers about this context live under: the
+    /// `"graph"` sub-context of a simulation context (for a graph built
+    /// from its baseline) or of a graph's content hash. The one place
+    /// the tag is spelled, so every owner of a context derives the same
+    /// graph key.
+    pub(crate) fn graph(self) -> ContextId {
+        self.tagged("graph")
+    }
 }
 
 impl std::fmt::Display for ContextId {
@@ -117,7 +126,7 @@ pub fn graph_context_id(graph: &uarch_graph::DepGraph) -> ContextId {
     let mut h = StableHasher::default();
     graph.insts().hash(&mut h);
     graph.params().hash(&mut h);
-    ContextId(h.finish()).tagged("graph")
+    ContextId(h.finish()).graph()
 }
 
 /// Fingerprint a full simulation context.

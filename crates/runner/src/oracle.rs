@@ -52,12 +52,13 @@ fn result_hash(set: EventSet, cycles: u64) -> String {
     format!("{:016x}", h.finish())
 }
 
-/// Where an [`Oracle`]'s `t(S)` values come from.
+/// Where an [`Oracle`]'s `t(S)` values come from. Each variant carries
+/// the [`ContextId`] its answers are cached under, computed once by
+/// whoever owns the context; building an oracle never hashes a trace.
 #[derive(Debug, Clone, Copy)]
 pub enum Backend<'a> {
     /// Ground truth: re-simulate `trace` on `config` with `S` idealized,
     /// after touching `warm_data`/`warm_code` (empty for a cold machine).
-    /// Answers are keyed by [`context_id`].
     Sim {
         /// The simulated machine.
         config: &'a MachineConfig,
@@ -67,10 +68,13 @@ pub enum Backend<'a> {
         warm_data: &'a [u64],
         /// Code addresses warmed before timing.
         warm_code: &'a [u64],
+        /// The cache key: [`context_id`] of the four fields above, as
+        /// [`Backend::sim_warmed`] computes it.
+        ctx: ContextId,
     },
     /// The dependence graph with `S`'s edges idealized, answers keyed by
     /// `ctx`: [`graph_context_id`] for the graph's content, or the
-    /// producing simulation context tagged `"graph"`.
+    /// producing simulation context's graph key ([`Backend::graph_of`]).
     Graph {
         /// The graph under analysis.
         graph: &'a DepGraph,
@@ -80,14 +84,28 @@ pub enum Backend<'a> {
 }
 
 impl<'a> Backend<'a> {
-    /// Re-simulation on a cold machine (no warm sets).
-    pub fn sim(config: &'a MachineConfig, trace: &'a Trace) -> Backend<'a> {
+    /// Re-simulation after warming `warm_data`/`warm_code`: the one
+    /// constructor that fingerprints a simulation context. A long-lived
+    /// owner keeps the result (or its [`Backend::ctx`]) instead of
+    /// calling this per batch.
+    pub fn sim_warmed(
+        config: &'a MachineConfig,
+        trace: &'a Trace,
+        warm_data: &'a [u64],
+        warm_code: &'a [u64],
+    ) -> Backend<'a> {
         Backend::Sim {
             config,
             trace,
-            warm_data: &[],
-            warm_code: &[],
+            warm_data,
+            warm_code,
+            ctx: context_id(config, trace, warm_data, warm_code),
         }
+    }
+
+    /// Re-simulation on a cold machine (no warm sets).
+    pub fn sim(config: &'a MachineConfig, trace: &'a Trace) -> Backend<'a> {
+        Backend::sim_warmed(config, trace, &[], &[])
     }
 
     /// The graph kernel, keyed by the graph's content.
@@ -98,15 +116,21 @@ impl<'a> Backend<'a> {
         }
     }
 
-    fn context(&self) -> ContextId {
+    /// The graph kernel over `graph`, built from this backend's baseline
+    /// simulation and keyed by this context's graph key, so graph
+    /// answers about one simulation context share one cache entry
+    /// however the graph was rebuilt.
+    pub fn graph_of<'g>(&self, graph: &'g DepGraph) -> Backend<'g> {
+        Backend::Graph {
+            graph,
+            ctx: self.ctx().graph(),
+        }
+    }
+
+    /// The cache key this backend's answers live under.
+    pub fn ctx(&self) -> ContextId {
         match *self {
-            Backend::Sim {
-                config,
-                trace,
-                warm_data,
-                warm_code,
-            } => context_id(config, trace, warm_data, warm_code),
-            Backend::Graph { ctx, .. } => ctx,
+            Backend::Sim { ctx, .. } | Backend::Graph { ctx, .. } => ctx,
         }
     }
 
@@ -169,7 +193,6 @@ struct Eval {
 #[derive(Debug)]
 pub struct Oracle<'a> {
     backend: Backend<'a>,
-    ctx: ContextId,
     threads: usize,
     cache: SimCache,
     metrics: Metrics,
@@ -189,7 +212,6 @@ impl<'a> Oracle<'a> {
         let ledger_run =
             (ledger.is_enabled() || ledger.has_subscribers()).then(|| ledger.next_run_id());
         Oracle {
-            ctx: backend.context(),
             backend,
             threads,
             cache,
@@ -204,7 +226,7 @@ impl<'a> Oracle<'a> {
 
     /// The cache key this oracle's answers live under.
     pub fn context(&self) -> ContextId {
-        self.ctx
+        self.backend.ctx()
     }
 
     /// The run id this oracle's records are ledgered under, when the
@@ -255,7 +277,7 @@ impl<'a> Oracle<'a> {
         }
         self.ledger.append(&LedgerRecord::Run(RunHeader {
             run,
-            ctx: self.ctx.to_string(),
+            ctx: self.context().to_string(),
             queries: queries as u64,
             threads: self.threads as u64,
             insts: self.backend.insts() as u64,
@@ -306,7 +328,7 @@ impl<'a> Oracle<'a> {
         let start = Instant::now();
         let (hit, from_disk) = {
             let _sp = global().span("runner", "cache.probe");
-            self.cache.get(self.ctx, set)
+            self.cache.get(self.context(), set)
         };
         let cycles = hit?;
         let tier = if from_disk {
@@ -344,7 +366,7 @@ impl<'a> Oracle<'a> {
         };
         Metrics::add_wall(&self.metrics.sim_wall_us, start.elapsed());
         for (&set, eval) in jobs.iter().zip(&evals) {
-            self.cache.insert(self.ctx, set, eval.cycles);
+            self.cache.insert(self.context(), set, eval.cycles);
             if !self.backend.is_job(set) {
                 continue;
             }
@@ -371,6 +393,7 @@ impl<'a> Oracle<'a> {
                 trace,
                 warm_data,
                 warm_code,
+                ..
             } => parallel_map(jobs, self.threads, |&set| {
                 let tracer = global();
                 let _sp = if tracer.is_enabled() {
@@ -611,7 +634,7 @@ mod tests {
     fn graph_context_is_content_addressed() {
         let cfg = MachineConfig::table6();
         let (a, b) = (graph(&cfg), graph(&cfg));
-        let ctx = |g| Backend::graph(g).context();
+        let ctx = |g| Backend::graph(g).ctx();
         assert_eq!(ctx(&a), ctx(&b), "equal graphs share a context");
         let mut insts = a.insts().to_vec();
         insts[0].ep_dmiss += 1;

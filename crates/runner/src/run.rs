@@ -17,11 +17,12 @@ use icost::{icost, icost_of_sets, CostOracle};
 use uarch_audit::audit_attribution;
 use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
 use uarch_obs::ledger::LedgerRecord;
-use uarch_obs::{CounterSampler, COUNTER_INTERVAL};
+use uarch_obs::{lock_unpoisoned, CounterSampler, COUNTER_INTERVAL};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
 use crate::cache::SimCache;
+use crate::fingerprint::ContextId;
 use crate::oracle::{Backend, Oracle};
 use crate::pool::default_threads;
 use crate::report::RunReport;
@@ -111,8 +112,8 @@ pub struct Runner {
 /// a property of the (config, trace) context, not of the batch, so one
 /// check per context keeps the enabled overhead inside the
 /// `runner_scale` perturbation budget.
-fn audited_contexts() -> &'static Mutex<HashSet<String>> {
-    static AUDITED: OnceLock<Mutex<HashSet<String>>> = OnceLock::new();
+fn audited_contexts() -> &'static Mutex<HashSet<ContextId>> {
+    static AUDITED: OnceLock<Mutex<HashSet<ContextId>>> = OnceLock::new();
     AUDITED.get_or_init(|| Mutex::new(HashSet::new()))
 }
 
@@ -207,13 +208,10 @@ impl Runner {
         warm_code: &[u64],
         queries: &[Query],
     ) -> (Vec<i64>, RunReport) {
-        let backend = Backend::Sim {
-            config,
-            trace,
-            warm_data,
-            warm_code,
-        };
-        self.batch(backend, queries)
+        self.batch(
+            Backend::sim_warmed(config, trace, warm_data, warm_code),
+            queries,
+        )
     }
 
     /// [`Runner::run`] against a dependence graph instead of ground-truth
@@ -225,9 +223,11 @@ impl Runner {
         self.batch(Backend::graph(graph), queries)
     }
 
-    /// One batch on any backend: the run span, counter sampling, the
-    /// oracle's batch, and (for simulation contexts) the audit hook.
-    fn batch(&self, backend: Backend, queries: &[Query]) -> (Vec<i64>, RunReport) {
+    /// Answer a batch of queries on `backend` through one oracle: the
+    /// run span, counter sampling, the oracle's one-wave batch, and (for
+    /// simulation contexts) the audit hook. A caller that owns a
+    /// fingerprinted backend runs batches here without re-hashing.
+    pub fn batch(&self, backend: Backend, queries: &[Query]) -> (Vec<i64>, RunReport) {
         let tracer = uarch_obs::global();
         let name = match backend {
             Backend::Sim { .. } => "runner.run",
@@ -254,22 +254,7 @@ impl Runner {
         // Stop sampling before reading the report, so the closing counter
         // sample carries the run's final values.
         drop(sampler);
-        if let Backend::Sim {
-            config,
-            trace,
-            warm_data,
-            warm_code,
-        } = backend
-        {
-            self.maybe_audit(
-                config,
-                trace,
-                warm_data,
-                warm_code,
-                &oracle.context().to_string(),
-                oracle.ledger_run_id(),
-            );
-        }
+        self.maybe_audit(backend, oracle.ledger_run_id());
         let _ = uarch_obs::ledger::global().flush();
         (answers, oracle.report())
     }
@@ -279,15 +264,17 @@ impl Runner {
     /// simulation context per process, and only when auditing is on
     /// (`ICOST_AUDIT=1` or [`Runner::with_audit`]) and somebody will
     /// read the record. Off-path cost is one cached flag read.
-    fn maybe_audit(
-        &self,
-        config: &MachineConfig,
-        trace: &Trace,
-        warm_data: &[u64],
-        warm_code: &[u64],
-        ctx: &str,
-        run: Option<u64>,
-    ) {
+    fn maybe_audit(&self, backend: Backend, run: Option<u64>) {
+        let Backend::Sim {
+            config,
+            trace,
+            warm_data,
+            warm_code,
+            ctx,
+        } = backend
+        else {
+            return;
+        };
         if !self.audit && !uarch_audit::enabled() {
             return;
         }
@@ -295,11 +282,8 @@ impl Runner {
         if !ledger.is_enabled() && !ledger.has_subscribers() {
             return;
         }
-        {
-            let mut audited = audited_contexts().lock().unwrap_or_else(|e| e.into_inner());
-            if !audited.insert(ctx.to_string()) {
-                return;
-            }
+        if !lock_unpoisoned(audited_contexts()).insert(ctx) {
+            return;
         }
         let tracer = uarch_obs::global();
         let _sp = tracer.span("runner", "runner.audit");

@@ -19,7 +19,7 @@ use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
 use uarch_obs::json::{self, Value};
 use uarch_obs::ledger::{LedgerRecord, ReportRecord};
 use uarch_obs::{prom, Counter, Gauge, Histogram, Registry};
-use uarch_plan::{assess, Calibrator, PlanConfig, Planner};
+use uarch_plan::{assess, Calibrator, Planner};
 use uarch_runner::{context_id, ContextId, Query, RunReport, Runner};
 use uarch_sim::{Idealization, PipelineStalls, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
@@ -60,7 +60,7 @@ impl ServeContext {
 /// Which evaluation substrate answers a query batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Ground-truth re-simulation through [`Runner::run`].
+    /// Ground-truth re-simulation through [`Runner::batch`].
     Sim,
     /// The lane-batched dependence-graph kernel.
     Graph,
@@ -89,18 +89,17 @@ pub struct ServeHost {
     runner_registry: Registry,
     /// Aggregate of the per-batch graph-oracle counters (`graph.*`).
     graph_registry: Registry,
-    /// Aggregate of the planner's routing counters (`plan.*`).
+    /// Aggregate of the planner's routing counters (`plan.*`), shared
+    /// by every per-request planner.
     plan_registry: Registry,
     serve_registry: Registry,
     /// Residual history shared by every `auto` batch (and replayed from
     /// the run ledger at startup, so a restart is not uncalibrated).
     calibrator: Calibrator,
-    plan_cfg: PlanConfig,
-    /// `(sim, graph)` context fingerprints for the served workload. The
-    /// `graph` and `auto` backends both key graph answers by `graph_ctx`,
-    /// so the host stores each of them once.
+    /// The served context's fingerprint, computed once here; every
+    /// backend answers under it or its graph key (see
+    /// [`ServeHost::backends`]).
     sim_ctx: ContextId,
-    graph_ctx: ContextId,
     /// The `POST /ingest` session table (and its `ingest.*` metrics).
     ingest: IngestSessions,
     /// Whether streamed windows are audited in the background
@@ -158,7 +157,6 @@ impl ServeHost {
         let audit_metrics = AuditMetrics::bind(&audit_registry);
         let serve_registry = Registry::new();
         let sim_ctx = context_id(&ctx.config, &ctx.trace, &ctx.warm_data, &ctx.warm_code);
-        let graph_ctx = sim_ctx.tagged("graph");
         let calibrator = Calibrator::new();
         if let Some(path) = uarch_obs::ledger::ledger_file() {
             if let Ok(text) = std::fs::read_to_string(&path) {
@@ -167,21 +165,9 @@ impl ServeHost {
                 let _ = calibrator.replay_text(&text);
             }
         }
-        // Bind the plan.* metric names up front (via a throwaway
-        // planner) so /metrics renders them at zero before the first
-        // auto batch arrives.
+        // plan.* renders at zero before the first auto batch arrives.
         let plan_registry = Registry::new();
-        drop(
-            Planner::new(
-                &runner,
-                &ctx.config,
-                &ctx.trace,
-                &ctx.warm_data,
-                &ctx.warm_code,
-                &graph,
-            )
-            .with_registry(plan_registry.clone()),
-        );
+        uarch_plan::bind_metrics(&plan_registry);
         ServeHost {
             requests: serve_registry.counter("serve.requests"),
             http_errors: serve_registry.counter("serve.http_errors"),
@@ -197,9 +183,7 @@ impl ServeHost {
             graph_registry: Registry::new(),
             plan_registry,
             calibrator,
-            plan_cfg: PlanConfig::default(),
             sim_ctx,
-            graph_ctx,
             ingest: {
                 let ingest = IngestSessions::new(ctx.config.clone());
                 if audit {
@@ -254,6 +238,19 @@ impl ServeHost {
     /// The served context.
     pub fn context(&self) -> &ServeContext {
         &self.ctx
+    }
+
+    /// The served context's two fingerprinted runner backends: ground
+    /// truth under `sim_ctx`, and the served graph under its graph key.
+    fn backends(&self) -> (uarch_runner::Backend<'_>, uarch_runner::Backend<'_>) {
+        let sim = uarch_runner::Backend::Sim {
+            config: &self.ctx.config,
+            trace: &self.ctx.trace,
+            warm_data: &self.ctx.warm_data,
+            warm_code: &self.ctx.warm_code,
+            ctx: self.sim_ctx,
+        };
+        (sim, sim.graph_of(&self.graph))
     }
 
     /// The shared runner (and through it the content-addressed cache).
@@ -418,53 +415,35 @@ impl ServeHost {
         let start = Instant::now();
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
         let (queries, backend) = parse_query_body(text)?;
+        let (sim, graph) = self.backends();
         let (answers, provenance, confidence, report) = match backend {
             Backend::Sim => {
-                let (answers, report) = self.runner.run_warmed(
-                    &self.ctx.config,
-                    &self.ctx.trace,
-                    &self.ctx.warm_data,
-                    &self.ctx.warm_code,
-                    &queries,
-                );
+                let (answers, report) = self.runner.batch(sim, &queries);
                 let provenance = vec!["sim"; answers.len()];
                 let confidence = vec![1.0; answers.len()];
                 (answers, provenance, confidence, report)
             }
             Backend::Graph => {
-                let mut oracle = self.runner.oracle(uarch_runner::Backend::Graph {
-                    graph: &self.graph,
-                    ctx: self.graph_ctx,
-                });
+                let mut oracle = self.runner.oracle(graph);
                 let answers = oracle.run(&queries);
                 self.graph_registry
                     .absorb_scalars(&oracle.graph_metrics().snapshot());
                 let report = oracle.report();
-                let per_set = self.calibrator.tolerance(
-                    &self.sim_ctx.to_string(),
-                    &self.graph_ctx.to_string(),
-                    &self.plan_cfg,
-                );
+                let per_set = self
+                    .calibrator
+                    .tolerance(&sim.ctx().to_string(), &graph.ctx().to_string());
                 let confidence = queries
                     .iter()
                     .zip(&answers)
-                    .map(|(q, &a)| assess(q, a, per_set, &self.plan_cfg).confidence)
+                    .map(|(q, &a)| assess(q, a, per_set).confidence)
                     .collect();
                 let provenance = vec!["graph"; answers.len()];
                 (answers, provenance, confidence, report)
             }
             Backend::Auto => {
-                let mut planner = Planner::new(
-                    &self.runner,
-                    &self.ctx.config,
-                    &self.ctx.trace,
-                    &self.ctx.warm_data,
-                    &self.ctx.warm_code,
-                    &self.graph,
-                )
-                .with_calibrator(self.calibrator.clone())
-                .with_config(self.plan_cfg.clone())
-                .with_registry(self.plan_registry.clone());
+                let mut planner = Planner::from_backends(&self.runner, sim, graph)
+                    .with_calibrator(self.calibrator.clone())
+                    .with_registry(self.plan_registry.clone());
                 let (planned, report) = planner.plan(&queries);
                 let answers = planned.iter().map(|p| p.value).collect();
                 let provenance = planned.iter().map(|p| p.provenance.as_str()).collect();
@@ -578,8 +557,9 @@ impl ServeHost {
         if record.verdict == "refuted" {
             // Confirmed refutations feed the planner: this context's
             // graph answers escalate to ground truth until retrained.
+            let (sim, graph) = self.backends();
             self.calibrator
-                .mark_refuted(&self.sim_ctx.to_string(), &self.graph_ctx.to_string());
+                .mark_refuted(&sim.ctx().to_string(), &graph.ctx().to_string());
         }
         let record = LedgerRecord::Audit(record);
         let line = record.to_json_line();

@@ -348,6 +348,38 @@ fn graph_and_auto_backends_share_one_graph_cache_key() {
     );
 }
 
+/// The `sim` and `auto` backends key ground truth under the same
+/// context, so a `sim` batch after an escalating `auto` batch over the
+/// same queries finds every answer already cached.
+#[test]
+fn sim_and_auto_backends_share_one_sim_cache_key() {
+    let host = test_host();
+    let queries =
+        r#""queries":[{"cost":"dmiss"},{"icost":"dmiss+win"},{"icost_units":["dmiss","bw"]}]"#;
+    let auto = host
+        .handle_query(format!(r#"{{"backend":"auto",{queries}}}"#).as_bytes())
+        .expect("auto batch");
+    // Cold calibrator: every query escalates to ground truth.
+    assert!(
+        auto.contains(r#""provenance":["sim","sim","sim"]"#),
+        "{auto}"
+    );
+    let sim = host
+        .handle_query(format!(r#"{{"backend":"sim",{queries}}}"#).as_bytes())
+        .expect("sim batch");
+    let doc = uarch_obs::json::parse(&sim).expect("JSON");
+    let sims_run = doc
+        .get("report")
+        .and_then(|r| r.get("counters"))
+        .and_then(|c| c.get("runner.sims_run"))
+        .and_then(|v| v.as_num());
+    assert_eq!(
+        sims_run,
+        Some(0.0),
+        "the sim batch re-simulated sets the auto batch had cached: {sim}"
+    );
+}
+
 /// With a token configured, every endpoint (including the SSE stream)
 /// answers 401 + `WWW-Authenticate` unless the exact bearer token is
 /// presented; with it, everything works as before.

@@ -6,11 +6,12 @@
 //! and fetch. All per-instruction timestamps are recorded in
 //! [`ExecRecord`]s for the dependence-graph model.
 //!
-//! Two run loops drive those stages:
+//! One run loop drives those stages, in one of two modes:
 //!
 //! - **Ticking** ([`EngineMode::Ticking`]): run every stage every cycle,
 //!   `t += 1` — the original engine, kept as the differential-testing
-//!   reference.
+//!   reference. It is the events mode with idle-span skipping off, so
+//!   the two cannot drift apart.
 //! - **Events** ([`EngineMode::Events`], the default): when a cycle makes
 //!   no progress (nothing delivered, committed, issued, dispatched, or
 //!   fetched, and no fetch-side state changed), every following cycle
@@ -62,9 +63,9 @@ impl Hasher for LineHasher {
     }
 }
 
-/// Which run loop drives the simulation. Both produce bit-identical
+/// How the run loop advances time. Both modes produce bit-identical
 /// [`SimResult`]s (cycles, records, counts, stalls); the event-driven
-/// loop skips idle cycles instead of ticking through them.
+/// mode skips idle cycles instead of ticking through them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineMode {
     /// Tick the five stage functions every cycle (reference engine).
@@ -402,13 +403,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(self, mode: EngineMode) -> SimResult {
-        match mode {
-            EngineMode::Ticking => self.run_ticking(),
-            EngineMode::Events => self.run_events(),
-        }
-    }
-
     fn finish(self) -> SimResult {
         let cycles = self.records[self.trace.len() - 1].commit;
         SimResult {
@@ -420,41 +414,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The reference run loop: every stage, every cycle.
-    fn run_ticking(mut self) -> SimResult {
+    /// The run loop. [`EngineMode::Ticking`] runs every stage every
+    /// cycle (the reference). [`EngineMode::Events`] ticks a cycle too;
+    /// if it made no progress, it jumps to the next cycle where any
+    /// stage's behavior can change, bulk-charging the skipped span with
+    /// the idle cycle's exact stall delta. The two are bit-identical
+    /// because a no-progress cycle leaves every piece of machine state
+    /// except the stall counters untouched, so the cycles inside the
+    /// span are carbon copies of the one that was actually executed.
+    fn run(mut self, mode: EngineMode) -> SimResult {
         let n = self.trace.len();
         if n == 0 {
             return SimResult::default();
         }
-        let mut t: u64 = 0;
-        while self.next_commit < n {
-            self.deliver_events(t);
-            self.commit(t);
-            self.issue_fixpoint(t);
-            self.dispatch(t);
-            self.fetch(t);
-            self.stats.ticked_cycles += 1;
-            t += 1;
-            debug_assert!(
-                t < 1_000 * (n as u64 + 16) + 1_000_000,
-                "simulation did not converge (deadlock?)"
-            );
-        }
-        self.finish()
-    }
-
-    /// The discrete-event run loop: tick a cycle; if it made no progress,
-    /// jump to the next cycle where any stage's behavior can change,
-    /// bulk-charging the skipped span with the idle cycle's exact stall
-    /// delta. Bit-identical to [`Engine::run_ticking`] because a
-    /// no-progress cycle leaves every piece of machine state except the
-    /// stall counters untouched, so the cycles inside the span are
-    /// carbon copies of the one that was actually executed.
-    fn run_events(mut self) -> SimResult {
-        let n = self.trace.len();
-        if n == 0 {
-            return SimResult::default();
-        }
+        let skip_idle = mode == EngineMode::Events;
         let mut t: u64 = 0;
         while self.next_commit < n {
             let before = self.stalls;
@@ -464,7 +437,7 @@ impl<'a> Engine<'a> {
             progress |= self.dispatch(t);
             progress |= self.fetch(t);
             self.stats.ticked_cycles += 1;
-            if !progress && self.next_commit < n {
+            if skip_idle && !progress && self.next_commit < n {
                 if let Some(next) = self.next_event(t) {
                     debug_assert!(next > t, "next event {next} not after {t}");
                     let skip = next - (t + 1);
@@ -479,7 +452,7 @@ impl<'a> Engine<'a> {
                 }
                 // No future event: the machine is wedged. Fall through to
                 // single-cycle ticking so behavior (and the convergence
-                // assert below) matches the reference engine.
+                // assert below) matches the reference.
             }
             t += 1;
             debug_assert!(
