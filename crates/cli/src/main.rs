@@ -14,11 +14,14 @@
 //! Exit codes: `0` success / no regressions, `1` regressions found by
 //! `diff`, `2` usage or I/O error.
 
+use std::io::{Read as _, Write as _};
+use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 use icost_obs_cli::{diff, LedgerSummary, Tolerance};
-use uarch_obs::ledger::KindFilter;
+use uarch_obs::ledger::{KindFilter, LedgerRecord};
 use uarch_serve::{ServeContext, ServeHost, Server};
 
 const USAGE: &str = "\
@@ -269,11 +272,20 @@ fn main() -> ExitCode {
             if !args.is_empty() {
                 return fail(format!("unexpected arguments {args:?} (see --help)"));
             }
-            match (addr, ledger) {
-                (Some(addr), None) => watch_sse(&addr, &kinds, limit, token),
-                (None, Some(path)) => watch_ledger(&path, &kinds, limit),
-                _ => fail("watch takes exactly one of --addr or --ledger (see --help)"),
-            }
+            let kinds = KindFilter::parse(&kinds);
+            let source = match (addr, ledger) {
+                (Some(addr), None) => Source::Events {
+                    addr,
+                    path: match kinds.kinds() {
+                        Some(kinds) => format!("/events?kinds={}", kinds.join(",")),
+                        None => "/events".to_string(),
+                    },
+                    token,
+                },
+                (None, Some(path)) => Source::File { path, follow: true },
+                _ => return fail("watch takes exactly one of --addr or --ledger (see --help)"),
+            };
+            watch(&source, &kinds, limit)
         }
         "audit" => {
             let addr = match take_opt::<String>(&mut args, "--addr") {
@@ -292,11 +304,19 @@ fn main() -> ExitCode {
                 Ok(t) => t,
                 Err(e) => return fail(e),
             };
-            match (addr, args.as_slice()) {
-                (Some(addr), []) => audit_sse(&addr, limit, max_refuted, token),
-                (None, [path]) => audit_ledger(path, limit, max_refuted),
-                _ => fail("audit takes a ledger path or --addr, not both (see --help)"),
-            }
+            let source = match (addr, args.as_slice()) {
+                (Some(addr), []) => Source::Events {
+                    addr,
+                    path: "/events?kinds=audit".to_string(),
+                    token,
+                },
+                (None, [path]) => Source::File {
+                    path: path.clone(),
+                    follow: false,
+                },
+                _ => return fail("audit takes a ledger path or --addr, not both (see --help)"),
+            };
+            audit(&source, limit, max_refuted)
         }
         "flame" => {
             let addr = match take_opt::<String>(&mut args, "--addr") {
@@ -349,161 +369,118 @@ fn flame_addr(addr: &str, secs: u64, token: Option<String>) -> ExitCode {
     }
 }
 
-/// One plain HTTP GET against a server: send the request, require a
-/// 200, read the body to EOF (the server closes after each response).
-fn http_get(addr: &str, path: &str, token: Option<String>) -> Result<String, String> {
-    use std::io::{Read as _, Write as _};
-
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(30)));
-    let auth = token
-        .filter(|t| !t.is_empty())
-        .map_or(String::new(), |t| format!("Authorization: Bearer {t}\r\n"));
-    let request = format!("GET {path} HTTP/1.1\r\nHost: flame\r\n{auth}\r\n");
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("cannot send request: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read error: {e}"))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed response from {addr}"))?;
-    if !head.starts_with("HTTP/1.1 200") {
-        return Err(format!(
-            "server refused {path}: {} — {}",
-            head.lines().next().unwrap_or(""),
-            body.trim()
-        ));
-    }
-    Ok(body.to_string())
-}
-
-/// Render one ledger JSONL `line` if it passes the kind filter;
-/// returns whether a record was rendered (counted against `--limit`).
-fn watch_line(line: &str, kinds: &KindFilter) -> bool {
-    let line = line.trim();
-    if line.is_empty() || !kinds.admits(line) {
-        return false;
-    }
-    match uarch_obs::ledger::parse_ledger_lenient(line) {
-        Ok((records, 0)) if !records.is_empty() => {
-            print!("{}", icost_obs_cli::render_watch_record(&records[0]));
-        }
-        // Unknown or malformed kinds still surface raw — watch is a
-        // tail, not a validator.
-        _ => println!("{line}"),
-    }
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    true
-}
-
-/// Connect to a server's SSE endpoint and feed every `data:` payload
-/// line to `on_payload`. Returns `Ok(true)` when the callback asked to
-/// stop, `Ok(false)` when the server closed the stream, `Err` on
-/// connection/protocol failures. Shared by `watch --addr` and
-/// `audit --addr`.
-fn stream_events(
+/// Send `GET path` to `addr`, with the bearer token when one is set,
+/// and read the response head. Returns the head, the stream, and any
+/// body bytes that arrived with the head.
+fn get(
     addr: &str,
     path: &str,
     token: Option<String>,
-    mut on_payload: impl FnMut(&str) -> bool,
-) -> Result<bool, String> {
-    use std::io::{Read as _, Write as _};
-
+    host: &str,
+) -> Result<(String, TcpStream, Vec<u8>), String> {
     let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(500)));
+        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let auth = token
         .filter(|t| !t.is_empty())
         .map_or(String::new(), |t| format!("Authorization: Bearer {t}\r\n"));
-    let request = format!("GET {path} HTTP/1.1\r\nHost: watch\r\n{auth}\r\n");
+    let request = format!("GET {path} HTTP/1.1\r\nHost: {host}\r\n{auth}\r\n");
     stream
         .write_all(request.as_bytes())
         .map_err(|e| format!("cannot send request: {e}"))?;
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
-    // Read the response head first; anything but 200 is a hard error.
-    while !buf.contains("\r\n\r\n") {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(format!("server closed during response head: {buf:?}")),
-            Ok(n) => buf.push_str(&String::from_utf8_lossy(&chunk[..n])),
-            Err(e) if would_block(&e) => {}
-            Err(e) => return Err(format!("read error: {e}")),
-        }
-    }
-    let head_end = buf.find("\r\n\r\n").expect("head terminator") + 4;
-    let head: String = buf.drain(..head_end).collect();
-    if !head.starts_with("HTTP/1.1 200") {
-        return Err(format!(
-            "server refused the stream: {}",
-            head.lines().next().unwrap_or("")
-        ));
-    }
-    eprintln!("icost-obs: watching {addr}{path}");
-    loop {
-        // Frames end with a blank line; data lines carry ledger records.
-        while let Some(i) = buf.find("\n\n") {
-            let frame: String = buf.drain(..i + 2).collect();
-            for payload in frame.lines().filter_map(|l| l.strip_prefix("data: ")) {
-                if on_payload(payload) {
-                    return Ok(true);
-                }
-            }
+    let head_end = loop {
+        if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break i + 4;
         }
         match stream.read(&mut chunk) {
             Ok(0) => {
-                eprintln!("icost-obs: event stream closed by server");
-                return Ok(false);
+                let head = String::from_utf8_lossy(&buf);
+                return Err(format!("server closed during response head: {head:?}"));
             }
-            Ok(n) => buf.push_str(&String::from_utf8_lossy(&chunk[..n])),
-            Err(e) if would_block(&e) => {}
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) => return Err(format!("read error: {e}")),
         }
-    }
-}
-
-/// `icost-obs watch --addr`: tail a server's `GET /events` SSE stream.
-fn watch_sse(addr: &str, kinds: &str, limit: Option<u64>, token: Option<String>) -> ExitCode {
-    let kinds = KindFilter::parse(kinds);
-    let path = match kinds.kinds() {
-        Some(kinds) => format!("/events?kinds={}", kinds.join(",")),
-        None => "/events".to_string(),
     };
-    let mut rendered = 0u64;
-    // The kind filter already ran server-side, but re-check in
-    // watch_line so a pre-filter server streams the same view.
-    match stream_events(addr, &path, token, |payload| {
-        if watch_line(payload, &kinds) {
-            rendered += 1;
-            return limit.is_some_and(|n| rendered >= n);
+    let body = buf.split_off(head_end);
+    Ok((String::from_utf8_lossy(&buf).into_owned(), stream, body))
+}
+
+/// The status line of a response head.
+fn status_line(head: &str) -> &str {
+    head.lines().next().unwrap_or("")
+}
+
+/// One plain HTTP GET against a server: require a 200 and read the
+/// body to EOF (the server closes after each response).
+fn http_get(addr: &str, path: &str, token: Option<String>) -> Result<String, String> {
+    let (head, mut stream, mut body) = get(addr, path, token, "flame")?;
+    stream
+        .read_to_end(&mut body)
+        .map_err(|e| format!("read error: {e}"))?;
+    let body = String::from_utf8(body).map_err(|e| format!("read error: {e}"))?;
+    if !head.starts_with("HTTP/1.1 200") {
+        return Err(format!(
+            "server refused {path}: {} — {}",
+            status_line(&head),
+            body.trim()
+        ));
+    }
+    Ok(body)
+}
+
+/// Where `watch` and `audit` read ledger lines from.
+enum Source {
+    /// A JSONL ledger file, read to its end, or followed for appended
+    /// lines until the consumer stops.
+    File { path: String, follow: bool },
+    /// A server's `GET <path>` SSE stream (`/events?kinds=...`).
+    Events {
+        addr: String,
+        path: String,
+        token: Option<String>,
+    },
+}
+
+impl Source {
+    /// Feed each ledger line to `on_line` until it returns `true` or the
+    /// source ends.
+    fn each_line(&self, on_line: impl FnMut(&str) -> bool) -> Result<(), String> {
+        match self {
+            Source::File {
+                path,
+                follow: false,
+            } => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                // The whole file must parse before anything renders.
+                let (_, skipped) = uarch_obs::ledger::parse_ledger_lenient(&text)
+                    .map_err(|e| format!("{path}: {e}"))?;
+                if skipped > 0 {
+                    eprintln!("icost-obs: {path}: skipped {skipped} record(s) of unknown kind");
+                }
+                text.lines().any(on_line);
+                Ok(())
+            }
+            Source::File { path, follow: true } => {
+                follow_file(path, on_line);
+                Ok(())
+            }
+            Source::Events { addr, path, token } => {
+                stream_events(addr, path, token.clone(), on_line)
+            }
         }
-        false
-    }) {
-        Ok(_) => ExitCode::SUCCESS,
-        Err(e) => fail(e),
     }
 }
 
-fn would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
+/// Tail a JSONL file: feed the lines already present, then poll for
+/// appended ones, until `on_line` returns `true`.
+fn follow_file(path: &str, mut on_line: impl FnMut(&str) -> bool) {
+    use std::io::Seek as _;
 
-/// `icost-obs watch --ledger`: tail a JSONL ledger file, rendering
-/// records already present and then polling for appended lines.
-fn watch_ledger(path: &str, kinds: &str, limit: Option<u64>) -> ExitCode {
-    use std::io::{Read as _, Seek as _};
-
-    let kinds = KindFilter::parse(kinds);
     let mut pos = 0u64;
     let mut carry = String::new();
-    let mut rendered = 0u64;
     let mut warned_missing = false;
     loop {
         match std::fs::File::open(path) {
@@ -524,37 +501,124 @@ fn watch_ledger(path: &str, kinds: &str, limit: Option<u64>) -> ExitCode {
         }
         while let Some(i) = carry.find('\n') {
             let line: String = carry.drain(..=i).collect();
-            if watch_line(&line, &kinds) {
-                rendered += 1;
-                if limit.is_some_and(|n| rendered >= n) {
-                    return ExitCode::SUCCESS;
+            if on_line(&line) {
+                return;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(250));
+    }
+}
+
+/// Connect to a server's SSE endpoint and feed every `data:` payload
+/// line to `on_payload` until it returns `true` or the server closes
+/// the stream.
+fn stream_events(
+    addr: &str,
+    path: &str,
+    token: Option<String>,
+    mut on_payload: impl FnMut(&str) -> bool,
+) -> Result<(), String> {
+    let (head, mut stream, body) = get(addr, path, token, "watch")?;
+    if !head.starts_with("HTTP/1.1 200") {
+        return Err(format!("server refused the stream: {}", status_line(&head)));
+    }
+    // Short read timeouts are ticks, not errors: the stream idles
+    // between records.
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    eprintln!("icost-obs: watching {addr}{path}");
+    let mut buf = String::from_utf8_lossy(&body).into_owned();
+    let mut chunk = [0u8; 4096];
+    loop {
+        // Frames end with a blank line; data lines carry ledger records.
+        while let Some(i) = buf.find("\n\n") {
+            let frame: String = buf.drain(..i + 2).collect();
+            for payload in frame.lines().filter_map(|l| l.strip_prefix("data: ")) {
+                if on_payload(payload) {
+                    return Ok(());
                 }
             }
         }
-        std::thread::sleep(std::time::Duration::from_millis(250));
+        match stream.read(&mut chunk) {
+            Ok(0) => {
+                eprintln!("icost-obs: event stream closed by server");
+                return Ok(());
+            }
+            Ok(n) => buf.push_str(&String::from_utf8_lossy(&chunk[..n])),
+            Err(e) if would_block(&e) => {}
+            Err(e) => return Err(format!("read error: {e}")),
+        }
     }
 }
 
-/// Parse one JSONL line as an audit record, if that's what it is.
-/// Other kinds (and unknown/malformed lines) return `None` — the audit
-/// view tails mixed ledgers and streams without failing on them.
-fn parse_audit_line(line: &str) -> Option<uarch_obs::ledger::AuditRecord> {
-    let line = line.trim();
-    if line.is_empty() {
-        return None;
-    }
-    match uarch_obs::ledger::parse_ledger_lenient(line) {
-        Ok((records, _)) => records.into_iter().find_map(|r| match r {
-            uarch_obs::ledger::LedgerRecord::Audit(a) => Some(a),
-            _ => None,
-        }),
-        Err(_) => None,
+fn would_block(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// The record on one ledger line; `None` for a blank line, a kind this
+/// build does not know, or malformed JSON.
+fn parse_line(line: &str) -> Option<LedgerRecord> {
+    let (records, _) = uarch_obs::ledger::parse_ledger_lenient(line).ok()?;
+    records.into_iter().next()
+}
+
+fn flush_stdout() {
+    let _ = std::io::stdout().flush();
+}
+
+/// `icost-obs watch`: render every line that passes the kind filter —
+/// a breakdown table per `window` record, one line for other kinds.
+fn watch(source: &Source, kinds: &KindFilter, limit: Option<u64>) -> ExitCode {
+    let mut rendered = 0u64;
+    // An SSE source already filtered server-side; re-checking here makes
+    // a pre-filter server stream the same view.
+    let result = source.each_line(|line| {
+        let line = line.trim();
+        if line.is_empty() || !kinds.admits(line) {
+            return false;
+        }
+        match parse_line(line) {
+            Some(record) => print!("{}", icost_obs_cli::render_watch_record(&record)),
+            // Unknown or malformed kinds still surface raw — watch is a
+            // tail, not a validator.
+            None => println!("{line}"),
+        }
+        flush_stdout();
+        rendered += 1;
+        limit.is_some_and(|n| rendered >= n)
+    });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(e),
     }
 }
 
-/// Final report + optional CI gate shared by both `audit` sources:
-/// exit 1 when the refuted fraction exceeds `--max-refuted`.
-fn audit_gate(total: u64, refuted: u64, max_refuted: Option<f64>) -> ExitCode {
+/// `icost-obs audit`: render every audit record's waterfall, then
+/// report the refuted rate, and exit 1 when it exceeds `--max-refuted`.
+fn audit(source: &Source, limit: Option<u64>, max_refuted: Option<f64>) -> ExitCode {
+    let mut total = 0u64;
+    let mut refuted = 0u64;
+    let result = source.each_line(|line| {
+        let Some(LedgerRecord::Audit(a)) = parse_line(line) else {
+            return false;
+        };
+        if limit.is_some_and(|n| total >= n) {
+            return true;
+        }
+        print!("{}", uarch_audit::render_waterfall(&a));
+        flush_stdout();
+        total += 1;
+        refuted += u64::from(a.verdict == "refuted");
+        limit.is_some_and(|n| total >= n)
+    });
+    if let Err(e) = result {
+        return fail(e);
+    }
+    if let (0, Source::File { path, .. }) = (total, source) {
+        eprintln!("icost-obs: {path}: no audit records (producers emit them under ICOST_AUDIT=1)");
+    }
     let rate = if total == 0 {
         0.0
     } else {
@@ -567,66 +631,6 @@ fn audit_gate(total: u64, refuted: u64, max_refuted: Option<f64>) -> ExitCode {
             ExitCode::FAILURE
         }
         _ => ExitCode::SUCCESS,
-    }
-}
-
-/// `icost-obs audit <ledger.jsonl>`: render every audit record's
-/// waterfall, then report the refuted rate (and gate on it).
-fn audit_ledger(path: &str, limit: Option<u64>, max_refuted: Option<f64>) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => return fail(format!("cannot read {path}: {e}")),
-    };
-    let (records, skipped) = match uarch_obs::ledger::parse_ledger_lenient(&text) {
-        Ok(parsed) => parsed,
-        Err(e) => return fail(format!("{path}: {e}")),
-    };
-    if skipped > 0 {
-        eprintln!("icost-obs: {path}: skipped {skipped} record(s) of unknown kind");
-    }
-    let mut total = 0u64;
-    let mut refuted = 0u64;
-    for record in &records {
-        if let uarch_obs::ledger::LedgerRecord::Audit(a) = record {
-            if limit.is_some_and(|n| total >= n) {
-                break;
-            }
-            print!("{}", uarch_audit::render_waterfall(a));
-            total += 1;
-            refuted += u64::from(a.verdict == "refuted");
-        }
-    }
-    if total == 0 {
-        eprintln!("icost-obs: {path}: no audit records (producers emit them under ICOST_AUDIT=1)");
-    }
-    audit_gate(total, refuted, max_refuted)
-}
-
-/// `icost-obs audit --addr`: tail a server's audit stream, rendering
-/// waterfalls live; applies the gate when the stream ends or --limit is
-/// reached.
-fn audit_sse(
-    addr: &str,
-    limit: Option<u64>,
-    max_refuted: Option<f64>,
-    token: Option<String>,
-) -> ExitCode {
-    let mut total = 0u64;
-    let mut refuted = 0u64;
-    let result = stream_events(addr, "/events?kinds=audit", token, |payload| {
-        let Some(a) = parse_audit_line(payload) else {
-            return false;
-        };
-        print!("{}", uarch_audit::render_waterfall(&a));
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        total += 1;
-        refuted += u64::from(a.verdict == "refuted");
-        limit.is_some_and(|n| total >= n)
-    });
-    match result {
-        Ok(_) => audit_gate(total, refuted, max_refuted),
-        Err(e) => fail(e),
     }
 }
 
@@ -671,8 +675,7 @@ fn serve(
     // Machine-readable startup line: tests and scripts parse the bound
     // address from stdout (port 0 resolves to the actual port).
     println!("listening on {}", server.addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    flush_stdout();
     loop {
         std::thread::park();
     }

@@ -309,6 +309,15 @@ fn streamed_ingest_matches_ledger_and_watch_renders_windows() {
         .filter(|l| l.starts_with("{\"kind\":\"window\""))
         .collect();
     assert_eq!(window_lines.len(), 5, "{ledger_text}");
+    let records = uarch_obs::ledger::parse_ledger(&window_lines.join("\n")).expect("parses");
+    let tiles: Vec<(u64, u64)> = records
+        .iter()
+        .map(|r| match r {
+            uarch_obs::ledger::LedgerRecord::Window(w) => (w.start, w.end),
+            other => panic!("not a window record: {other:?}"),
+        })
+        .collect();
+    assert_eq!(tiles, [(0, 24), (24, 48), (48, 72), (72, 96), (96, 100)]);
     read_until(&mut events, &mut streamed, |s| data_lines(s).len() >= 5);
     assert_eq!(
         data_lines(&streamed),
@@ -369,6 +378,20 @@ fn streamed_ingest_matches_ledger_and_watch_renders_windows() {
 fn explain_and_cli_audit_produce_identical_waterfalls() {
     let server = ServerProcess::spawn_with_env(&[], "audit", &[("ICOST_AUDIT", "1")]);
     let addr = server.addr;
+
+    // `icost-obs audit --addr` tails the audit stream, started before
+    // any audit so nothing slips past it; its first stderr line
+    // confirms the subscription is live.
+    let mut audit_sse = Command::new(BIN)
+        .args(["audit", "--addr", &addr.to_string(), "--limit", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn audit --addr");
+    let mut audit_err = BufReader::new(audit_sse.stderr.take().expect("stderr piped"));
+    let mut line = String::new();
+    audit_err.read_line(&mut line).expect("audit stderr");
+    assert!(line.contains("watching"), "{line}");
 
     // Subscribe to audit records before provoking any.
     let mut events = TcpStream::connect(addr).expect("connect events");
@@ -439,6 +462,14 @@ fn explain_and_cli_audit_produce_identical_waterfalls() {
     );
     let gate_note = String::from_utf8_lossy(&out.stderr);
     assert!(gate_note.contains("2 audit record(s)"), "{gate_note}");
+
+    // The SSE path renders the same two waterfalls, then stops at --limit.
+    let streamed_out = audit_sse.wait_with_output().expect("audit --addr exits");
+    assert!(streamed_out.status.success(), "{streamed_out:?}");
+    assert_eq!(String::from_utf8_lossy(&streamed_out.stdout), cli);
+    line.clear();
+    audit_err.read_line(&mut line).expect("audit stderr");
+    assert!(line.contains("2 audit record(s)"), "{line}");
 
     // The SSE subscriber saw the same records the ledger file holds.
     read_until(&mut events, &mut streamed, |s| data_lines(s).len() >= 2);

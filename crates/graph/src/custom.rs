@@ -8,7 +8,6 @@
 //! predicate over instructions, which is how per-static-load and
 //! per-instruction costs are measured.
 
-use crate::eval::NodeTimes;
 use crate::model::{DepGraph, GraphInst};
 use uarch_trace::EventSet;
 
@@ -135,40 +134,6 @@ impl DepGraph {
                 })
             })
             .collect()
-    }
-
-    /// Node times under a custom idealization (for inspection/debugging).
-    pub fn node_times_custom(
-        &self,
-        ideal: EventSet,
-        mut pick: impl FnMut(usize, &GraphInst) -> InstIdealization,
-    ) -> Vec<NodeTimes> {
-        let adjusted: Vec<GraphInst> = self
-            .insts
-            .iter()
-            .enumerate()
-            .map(|(i, gi)| {
-                let what = pick(i, gi);
-                let mut g = *gi;
-                if what.ideal_misses {
-                    g.ep_dmiss = 0;
-                    g.pp_producer = None;
-                }
-                if what.ideal_latency {
-                    g.ep_dl1 = 0;
-                    g.ep_dmiss = 0;
-                    g.ep_shalu = 0;
-                    g.ep_lgalu = 0;
-                    g.ep_base = 0;
-                    g.pp_producer = None;
-                }
-                if what.ideal_mispredict {
-                    g.mispredicted = false;
-                }
-                g
-            })
-            .collect();
-        self.adjusted(adjusted).node_times(ideal)
     }
 }
 

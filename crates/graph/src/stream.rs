@@ -33,7 +33,7 @@ use crate::model::DepGraph;
 /// Default retirement window, in instructions.
 pub const DEFAULT_WINDOW: usize = 1024;
 
-/// Default number of top pairwise interactions kept per window.
+/// Number of top pairwise interactions kept per window.
 pub const DEFAULT_TOP_PAIRS: usize = 4;
 
 /// The icost breakdown of one retired streaming window.
@@ -102,7 +102,6 @@ pub struct StreamingBuilder {
     config: MachineConfig,
     window: usize,
     chunk: usize,
-    top_pairs: usize,
     /// Not-yet-retired instructions: the partial window plus whatever a
     /// push batch appended beyond it. This is the *only* stream-length
     /// state — retired windows are dropped whole.
@@ -127,7 +126,6 @@ impl StreamingBuilder {
             config: config.clone(),
             window,
             chunk: DEFAULT_CHUNK,
-            top_pairs: DEFAULT_TOP_PAIRS,
             pending: Vec::with_capacity(window),
             expected_pc: None,
             retired: 0,
@@ -143,18 +141,6 @@ impl StreamingBuilder {
     pub fn with_chunk(mut self, chunk: usize) -> StreamingBuilder {
         self.chunk = chunk.max(1);
         self
-    }
-
-    /// Keep up to `k` top pairwise interactions per window (clamped to
-    /// the 28 distinct pairs).
-    pub fn with_top_pairs(mut self, k: usize) -> StreamingBuilder {
-        self.top_pairs = k.min(28);
-        self
-    }
-
-    /// The retirement window size, in instructions.
-    pub fn window_size(&self) -> usize {
-        self.window
     }
 
     /// Total instructions ingested so far.
@@ -173,7 +159,7 @@ impl StreamingBuilder {
     }
 
     /// High-water mark of resident instructions over the stream's
-    /// lifetime — the bounded-memory gate `stream_scale` checks.
+    /// lifetime; it stays below one window plus one push batch.
     pub fn peak_resident(&self) -> usize {
         self.peak_resident
     }
@@ -246,7 +232,7 @@ impl StreamingBuilder {
         let result = Simulator::new(&self.config).run(&trace, Idealization::none());
         let graph = DepGraph::build(&trace, &result, &self.config);
         let (baseline, costs, all_pairs) = breakdown_lattice(&graph, self.chunk, &mut self.scratch);
-        let pairs = all_pairs.iter().take(self.top_pairs).copied().collect();
+        let pairs = all_pairs.iter().take(DEFAULT_TOP_PAIRS).copied().collect();
         let breakdown = WindowBreakdown {
             window: self.next_window,
             start: self.retired,

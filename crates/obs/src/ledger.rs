@@ -14,7 +14,7 @@
 //! one relaxed atomic load per check and never allocates; an enabled
 //! one writes through a buffered, lock-protected sink and is flushed
 //! once per run (and by [`crate::FlushGuard`] on drop/panic), keeping
-//! the enabled overhead under the `runner_scale` bench's 3% budget.
+//! the enabled overhead under the `speed_gates` bench's 3% budget.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;

@@ -279,13 +279,6 @@ pub fn render_registries(registries: &[(&str, &Registry)]) -> String {
     exposition.render()
 }
 
-/// Render one snapshot with no instance labels.
-pub fn render_snapshot(snap: &Snapshot) -> String {
-    let mut exposition = Exposition::new();
-    exposition.add_snapshot(snap, &[]);
-    exposition.render()
-}
-
 /// Whether `name` matches the metric-name grammar
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
 fn valid_name(name: &str) -> bool {

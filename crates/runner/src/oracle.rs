@@ -332,10 +332,10 @@ impl<'a> Oracle<'a> {
         };
         let cycles = hit?;
         let tier = if from_disk {
-            self.metrics.disk_hits.inc();
+            self.metrics.run.disk_hits.inc();
             Provenance::Disk
         } else {
-            self.metrics.cache_hits.inc();
+            self.metrics.run.cache_hits.inc();
             Provenance::Memory
         };
         self.ledger_job(set, tier, cycles, start.elapsed(), None);
@@ -344,7 +344,7 @@ impl<'a> Oracle<'a> {
 
     /// `t(set)` via the cache or a one-job wave.
     fn cycles(&mut self, set: EventSet) -> u64 {
-        self.metrics.jobs_requested.inc();
+        self.metrics.run.jobs_requested.inc();
         match self.lookup(set) {
             Some(cycles) => cycles,
             None => self.wave(&[set])[0],
@@ -364,20 +364,20 @@ impl<'a> Oracle<'a> {
             };
             self.evaluate(jobs)
         };
-        Metrics::add_wall(&self.metrics.sim_wall_us, start.elapsed());
+        Metrics::add_wall(&self.metrics.run.sim_wall_us, start.elapsed());
         for (&set, eval) in jobs.iter().zip(&evals) {
             self.cache.insert(self.context(), set, eval.cycles);
             if !self.backend.is_job(set) {
                 continue;
             }
             let m = &self.metrics;
-            m.sims_run.inc();
-            m.cycles_simulated.add(eval.cycles);
-            m.insts_simulated.add(self.backend.insts() as u64);
+            m.run.sims_run.inc();
+            m.run.cycles_simulated.add(eval.cycles);
+            m.run.insts_simulated.add(self.backend.insts() as u64);
             m.sim_cycles.record(eval.cycles);
             if let Some((stalls, engine)) = &eval.sim {
-                m.absorb_stalls(stalls);
-                m.absorb_engine(engine);
+                m.run.absorb_stalls(stalls);
+                m.run.absorb_engine(engine);
             }
             let stalls = eval.sim.as_ref().map(|(stalls, _)| stalls);
             self.ledger_job(set, Provenance::Computed, eval.cycles, eval.wall, stalls);
@@ -450,7 +450,7 @@ impl<'a> Oracle<'a> {
 
 impl CostOracle for Oracle<'_> {
     fn cost(&mut self, set: EventSet) -> i64 {
-        self.metrics.queries.inc();
+        self.metrics.run.queries.inc();
         if set.is_empty() {
             return 0;
         }
@@ -459,7 +459,7 @@ impl CostOracle for Oracle<'_> {
     }
 
     fn baseline(&mut self) -> u64 {
-        self.metrics.queries.inc();
+        self.metrics.run.queries.inc();
         self.cycles(EventSet::EMPTY)
     }
 
@@ -481,14 +481,14 @@ impl CostOracle for Oracle<'_> {
                 }
             }
         }
-        self.metrics.jobs_requested.add(sets.len() as u64 + 1);
-        self.metrics.jobs_deduped.add(deduped);
+        self.metrics.run.jobs_requested.add(sets.len() as u64 + 1);
+        self.metrics.run.jobs_deduped.add(deduped);
         if matches!(self.backend, Backend::Graph { .. }) {
             self.lanes.requested.add(sets.len() as u64);
             self.lanes.deduped.add(deduped);
             self.lanes.memo_hits.add(hits);
         }
-        Metrics::add_wall(&self.metrics.expand_wall_us, expand_start.elapsed());
+        Metrics::add_wall(&self.metrics.run.expand_wall_us, expand_start.elapsed());
         if !jobs.is_empty() {
             self.wave(&jobs);
         }
@@ -603,6 +603,33 @@ mod tests {
         assert_eq!(r.disk_hits, 2, "baseline and set served from disk");
         assert_eq!(r.reuse_rate(), Some(1.0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn live_counters_and_published_report_agree() {
+        let cfg = MachineConfig::table6();
+        let t = kernel(20);
+        let mut oracle = Runner::new().with_threads(2).oracle(Backend::sim(&cfg, &t));
+        let d = EventSet::single(EventClass::Dmiss);
+        let dw = EventSet::from([EventClass::Dmiss, EventClass::Win]);
+        oracle.prefetch(&[d, dw]);
+        let _ = (oracle.cost(d), oracle.cost(dw), oracle.cost(d));
+        let counters = |snap: uarch_obs::Snapshot| -> Vec<(String, u64)> {
+            let entries = snap.entries().iter();
+            entries
+                .filter_map(|(name, v)| match v {
+                    uarch_obs::SnapshotValue::Counter(c) => Some((name.clone(), *c)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let live = counters(oracle.metrics().snapshot());
+        let report = oracle.report();
+        assert_eq!(live, counters(report.to_registry().snapshot()));
+        assert!(report.sims_run > 0 && report.cache_hits > 0 && report.stalls.total() > 0);
+        assert_eq!(live.len(), 13 + PipelineStalls::default().rows().len());
+        let threads = |r: &Registry| r.snapshot().gauge("runner.threads");
+        assert_eq!(threads(oracle.metrics()), threads(&report.to_registry()));
     }
 
     #[test]

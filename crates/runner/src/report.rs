@@ -16,12 +16,11 @@ use uarch_sim::{EngineStats, PipelineStalls};
 /// Bucket bounds for the per-simulation cycle-count histogram.
 const SIM_CYCLES_BOUNDS: [u64; 6] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
 
-/// Registry-backed live counters for one oracle. This is what the
-/// engine actually increments; [`Metrics::report`] snapshots it into a
-/// [`RunReport`].
+/// Handles to the run counters in one registry. Every `runner.*` and
+/// `sim.*` counter name is spelled here once, for both the live
+/// [`Metrics`] and [`RunReport::publish`].
 #[derive(Debug)]
-pub(crate) struct Metrics {
-    registry: Registry,
+pub(crate) struct RunCounters {
     pub queries: Counter,
     pub jobs_requested: Counter,
     pub jobs_deduped: Counter,
@@ -33,30 +32,22 @@ pub(crate) struct Metrics {
     pub threads: Gauge,
     pub expand_wall_us: Counter,
     pub sim_wall_us: Counter,
-    /// Distribution of per-simulation cycle counts.
-    pub sim_cycles: Histogram,
     /// One counter per [`PipelineStalls`] row, in row order.
-    stall_counters: Vec<Counter>,
+    stalls: Vec<Counter>,
     /// Cycles the event scheduler actually ticked (`sim.event.ticks`).
-    pub engine_ticks: Counter,
+    engine_ticks: Counter,
     /// Idle cycles jumped over without running the stage functions
     /// (`sim.skipped_cycles`; always 0 under the ticking engine).
-    pub engine_skipped: Counter,
+    engine_skipped: Counter,
     /// Idle spans bulk-attributed in one next-event jump each
     /// (`sim.event.spans`).
-    pub engine_spans: Counter,
+    engine_spans: Counter,
 }
 
-impl Metrics {
-    /// Fresh metrics in a fresh registry.
-    pub fn new(threads: usize) -> Metrics {
-        let registry = Registry::new();
-        let stall_counters = PipelineStalls::default()
-            .rows()
-            .iter()
-            .map(|(name, _)| registry.counter(&format!("sim.stall.{name}")))
-            .collect();
-        let m = Metrics {
+impl RunCounters {
+    /// Look up (or create) each counter in `registry`, once per name.
+    fn bind(registry: &Registry) -> RunCounters {
+        RunCounters {
             queries: registry.counter("runner.queries"),
             jobs_requested: registry.counter("runner.jobs_requested"),
             jobs_deduped: registry.counter("runner.jobs_deduped"),
@@ -68,26 +59,20 @@ impl Metrics {
             threads: registry.gauge("runner.threads"),
             expand_wall_us: registry.counter("runner.expand_wall_us"),
             sim_wall_us: registry.counter("runner.sim_wall_us"),
-            sim_cycles: registry.histogram("runner.sim_cycles", &SIM_CYCLES_BOUNDS),
-            stall_counters,
+            stalls: PipelineStalls::default()
+                .rows()
+                .iter()
+                .map(|(name, _)| registry.counter(&format!("sim.stall.{name}")))
+                .collect(),
             engine_ticks: registry.counter("sim.event.ticks"),
             engine_skipped: registry.counter("sim.skipped_cycles"),
             engine_spans: registry.counter("sim.event.spans"),
-            registry,
-        };
-        m.threads.set(threads as i64);
-        m
-    }
-
-    /// The registry the counters live in (for full snapshots that
-    /// include the histogram).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+        }
     }
 
     /// Add one simulation's stall counters.
     pub fn absorb_stalls(&self, stalls: &PipelineStalls) {
-        for (counter, (_, v)) in self.stall_counters.iter().zip(stalls.rows()) {
+        for (counter, (_, v)) in self.stalls.iter().zip(stalls.rows()) {
             counter.add(v);
         }
     }
@@ -98,6 +83,38 @@ impl Metrics {
         self.engine_skipped.add(engine.skipped_cycles);
         self.engine_spans.add(engine.idle_spans);
     }
+}
+
+/// Registry-backed live counters for one oracle. This is what the
+/// engine actually increments; [`Metrics::report`] snapshots it into a
+/// [`RunReport`].
+#[derive(Debug)]
+pub(crate) struct Metrics {
+    registry: Registry,
+    /// The run counters, bound in `registry`.
+    pub run: RunCounters,
+    /// Distribution of per-simulation cycle counts.
+    pub sim_cycles: Histogram,
+}
+
+impl Metrics {
+    /// Fresh metrics in a fresh registry.
+    pub fn new(threads: usize) -> Metrics {
+        let registry = Registry::new();
+        let m = Metrics {
+            run: RunCounters::bind(&registry),
+            sim_cycles: registry.histogram("runner.sim_cycles", &SIM_CYCLES_BOUNDS),
+            registry,
+        };
+        m.run.threads.set(threads as i64);
+        m
+    }
+
+    /// The registry the counters live in (for full snapshots that
+    /// include the histogram).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
 
     /// Add `d` to a wall-time counter, in whole microseconds.
     pub fn add_wall(counter: &Counter, d: Duration) {
@@ -106,8 +123,9 @@ impl Metrics {
 
     /// Snapshot the live counters into a plain [`RunReport`] view.
     pub fn report(&self) -> RunReport {
+        let c = &self.run;
         let mut stall_values = [0u64; 10];
-        for (slot, counter) in stall_values.iter_mut().zip(&self.stall_counters) {
+        for (slot, counter) in stall_values.iter_mut().zip(&c.stalls) {
             *slot = counter.get();
         }
         let snap = self.registry.snapshot();
@@ -117,25 +135,25 @@ impl Metrics {
                 .unwrap_or(0)
         };
         RunReport {
-            queries: self.queries.get(),
-            jobs_requested: self.jobs_requested.get(),
-            jobs_deduped: self.jobs_deduped.get(),
-            cache_hits: self.cache_hits.get(),
-            disk_hits: self.disk_hits.get(),
-            sims_run: self.sims_run.get(),
-            cycles_simulated: self.cycles_simulated.get(),
-            insts_simulated: self.insts_simulated.get(),
-            threads: self.threads.get().max(0) as usize,
-            expand_wall: Duration::from_micros(self.expand_wall_us.get()),
-            sim_wall: Duration::from_micros(self.sim_wall_us.get()),
+            queries: c.queries.get(),
+            jobs_requested: c.jobs_requested.get(),
+            jobs_deduped: c.jobs_deduped.get(),
+            cache_hits: c.cache_hits.get(),
+            disk_hits: c.disk_hits.get(),
+            sims_run: c.sims_run.get(),
+            cycles_simulated: c.cycles_simulated.get(),
+            insts_simulated: c.insts_simulated.get(),
+            threads: c.threads.get().max(0) as usize,
+            expand_wall: Duration::from_micros(c.expand_wall_us.get()),
+            sim_wall: Duration::from_micros(c.sim_wall_us.get()),
             sim_cycles_p50: quantile(0.50),
             sim_cycles_p95: quantile(0.95),
             sim_cycles_p99: quantile(0.99),
             stalls: PipelineStalls::from_row_values(stall_values),
             engine: EngineStats {
-                ticked_cycles: self.engine_ticks.get(),
-                skipped_cycles: self.engine_skipped.get(),
-                idle_spans: self.engine_spans.get(),
+                ticked_cycles: c.engine_ticks.get(),
+                skipped_cycles: c.engine_skipped.get(),
+                idle_spans: c.engine_spans.get(),
             },
         }
     }
@@ -253,33 +271,20 @@ impl RunReport {
     /// Publish every counter into `registry` (adding to whatever is
     /// already there, so absorbing several reports accumulates).
     pub fn publish(&self, registry: &Registry) {
-        registry.counter("runner.queries").add(self.queries);
-        registry
-            .counter("runner.jobs_requested")
-            .add(self.jobs_requested);
-        registry
-            .counter("runner.jobs_deduped")
-            .add(self.jobs_deduped);
-        registry
-            .counter("runner.cache_hits_mem")
-            .add(self.cache_hits);
-        registry
-            .counter("runner.cache_hits_disk")
-            .add(self.disk_hits);
-        registry.counter("runner.sims_run").add(self.sims_run);
-        registry
-            .counter("runner.cycles_simulated")
-            .add(self.cycles_simulated);
-        registry
-            .counter("runner.insts_simulated")
-            .add(self.insts_simulated);
-        registry.gauge("runner.threads").set(self.threads as i64);
-        registry
-            .counter("runner.expand_wall_us")
-            .add(self.expand_wall.as_micros() as u64);
-        registry
-            .counter("runner.sim_wall_us")
-            .add(self.sim_wall.as_micros() as u64);
+        let c = RunCounters::bind(registry);
+        c.queries.add(self.queries);
+        c.jobs_requested.add(self.jobs_requested);
+        c.jobs_deduped.add(self.jobs_deduped);
+        c.cache_hits.add(self.cache_hits);
+        c.disk_hits.add(self.disk_hits);
+        c.sims_run.add(self.sims_run);
+        c.cycles_simulated.add(self.cycles_simulated);
+        c.insts_simulated.add(self.insts_simulated);
+        c.threads.set(self.threads as i64);
+        Metrics::add_wall(&c.expand_wall_us, self.expand_wall);
+        Metrics::add_wall(&c.sim_wall_us, self.sim_wall);
+        c.absorb_stalls(&self.stalls);
+        c.absorb_engine(&self.engine);
         if self.sims_run > 0 {
             // Gauges, not counters: a later batch's estimate replaces
             // (does not sum with) the earlier one.
@@ -293,18 +298,6 @@ impl RunReport {
                 .gauge("runner.sim_cycles_p99")
                 .set(self.sim_cycles_p99 as i64);
         }
-        for (name, v) in self.stalls.rows() {
-            registry.counter(&format!("sim.stall.{name}")).add(v);
-        }
-        registry
-            .counter("sim.event.ticks")
-            .add(self.engine.ticked_cycles);
-        registry
-            .counter("sim.skipped_cycles")
-            .add(self.engine.skipped_cycles);
-        registry
-            .counter("sim.event.spans")
-            .add(self.engine.idle_spans);
     }
 
     /// The report as a standalone metrics registry (the snapshot/JSON/
@@ -459,11 +452,11 @@ mod tests {
     #[test]
     fn metrics_snapshot_roundtrips_to_report() {
         let m = Metrics::new(3);
-        m.queries.add(2);
-        m.sims_run.inc();
-        m.cycles_simulated.add(1234);
+        m.run.queries.add(2);
+        m.run.sims_run.inc();
+        m.run.cycles_simulated.add(1234);
         m.sim_cycles.record(1234);
-        m.absorb_stalls(&PipelineStalls {
+        m.run.absorb_stalls(&PipelineStalls {
             load_mem_fill: 7,
             ..PipelineStalls::default()
         });
@@ -481,7 +474,7 @@ mod tests {
         // 100 samples spread across the first bucket (bound 1_000): the
         // estimates interpolate within it and order correctly.
         for _ in 0..100 {
-            m.sims_run.inc();
+            m.run.sims_run.inc();
             m.sim_cycles.record(500);
         }
         let r = m.report();

@@ -111,7 +111,7 @@ pub struct Runner {
 /// Simulation contexts this process has already audited — auditing is
 /// a property of the (config, trace) context, not of the batch, so one
 /// check per context keeps the enabled overhead inside the
-/// `runner_scale` perturbation budget.
+/// `speed_gates` perturbation budget.
 fn audited_contexts() -> &'static Mutex<HashSet<ContextId>> {
     static AUDITED: OnceLock<Mutex<HashSet<ContextId>>> = OnceLock::new();
     AUDITED.get_or_init(|| Mutex::new(HashSet::new()))

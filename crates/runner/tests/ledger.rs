@@ -74,6 +74,11 @@ fn runner_runs_append_headers_and_job_records() {
         .filter(|j| j.provenance == Provenance::Computed)
         .collect();
     assert_eq!(computed.len(), 4, "one computed record per distinct set");
+    assert_eq!(
+        computed.len() as u64,
+        r1.sims_run,
+        "one computed record per sim"
+    );
     assert!(
         computed.iter().any(|j| j.stalls.values().any(|&v| v > 0)),
         "computed records carry nonzero stall rows"

@@ -137,7 +137,7 @@ pub struct ServeHost {
 }
 
 /// Bucket bounds for `/metrics` render latency, in microseconds (the
-/// serve_scale bench gates p-latency well under the 10ms bound).
+/// `speed_gates` bench gates the median well under 10ms).
 const SCRAPE_US_BOUNDS: [u64; 4] = [100, 1_000, 10_000, 100_000];
 
 /// Bucket bounds for `POST /query` batch latency, in microseconds.
@@ -261,11 +261,6 @@ impl ServeHost {
     /// The serve-layer metrics registry (`serve.*`).
     pub fn serve_metrics(&self) -> &Registry {
         &self.serve_registry
-    }
-
-    /// The aggregate runner registry (`runner.*`, `sim.stall.*`).
-    pub fn runner_metrics(&self) -> &Registry {
-        &self.runner_registry
     }
 
     /// Whether the host is accepting traffic (flipped by the server

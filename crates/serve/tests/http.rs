@@ -224,10 +224,12 @@ fn query_batches_answer_on_both_backends_and_feed_metrics() {
     uarch_obs::prom::check(&text).expect("exposition passes the checker");
     for needle in [
         "runner_queries{registry=\"runner\"}",
+        "runner_sims_run",
         "sim_stall_",
         "graph_lanes",
         "cache_",
         "serve_queries_answered",
+        "serve_scrapes",
         "runner_sim_cycles_p50",
     ] {
         assert!(text.contains(needle), "missing {needle} in:\n{text}");
