@@ -1,6 +1,9 @@
 //! Graph data model: per-instruction node data and machine parameters.
 
-use uarch_trace::{EventClass, MachineConfig};
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
+
+use uarch_trace::{EventClass, MachineConfig, StableHasher};
 
 /// The five nodes each dynamic instruction contributes (paper Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -207,6 +210,8 @@ pub struct DepGraph {
     /// shared across the lane-kernel worker threads; contention falls back
     /// to a local allocation, it never blocks.
     pub(crate) times_scratch: std::sync::Mutex<Vec<crate::NodeTimes>>,
+    /// The content fingerprint, computed on first use.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Clone for DepGraph {
@@ -215,6 +220,7 @@ impl Clone for DepGraph {
             insts: self.insts.clone(),
             params: self.params,
             times_scratch: std::sync::Mutex::new(Vec::new()),
+            fingerprint: self.fingerprint.clone(),
         }
     }
 }
@@ -246,6 +252,7 @@ impl DepGraph {
             insts,
             params,
             times_scratch: std::sync::Mutex::new(Vec::new()),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -257,6 +264,7 @@ impl DepGraph {
             insts,
             params: self.params,
             times_scratch: std::sync::Mutex::new(Vec::new()),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -278,6 +286,19 @@ impl DepGraph {
     /// Per-instruction node data.
     pub fn insts(&self) -> &[GraphInst] {
         &self.insts
+    }
+
+    /// A stable 64-bit fingerprint of the graph's content:
+    /// [`StableHasher`] over [`DepGraph::insts`] then
+    /// [`DepGraph::params`]. The first call walks the graph; later
+    /// calls, and calls on clones, are O(1).
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = StableHasher::default();
+            self.insts.hash(&mut h);
+            self.params.hash(&mut h);
+            h.finish()
+        })
     }
 }
 

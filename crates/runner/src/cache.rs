@@ -167,7 +167,7 @@ impl SimCache {
         let Some(path) = self.context_file(ctx) else {
             return;
         };
-        let mut store = self.store.lock().expect("cache poisoned");
+        let mut store = lock_unpoisoned(&self.store);
         if !store.loaded.insert(ctx) {
             return;
         }
@@ -201,7 +201,7 @@ impl SimCache {
     /// callers can attribute the hit to the right cache tier.
     pub fn get(&self, ctx: ContextId, set: EventSet) -> (Option<u64>, bool) {
         self.ensure_loaded(ctx);
-        let store = self.store.lock().expect("cache poisoned");
+        let store = lock_unpoisoned(&self.store);
         let hit = store.map.get(&(ctx, set)).copied();
         let from_disk = hit.is_some() && store.from_disk.contains(&(ctx, set));
         (hit, from_disk)
@@ -211,7 +211,7 @@ impl SimCache {
     /// Re-inserting an existing key is a no-op (no duplicate disk lines).
     pub fn insert(&self, ctx: ContextId, set: EventSet, cycles: u64) {
         {
-            let mut store = self.store.lock().expect("cache poisoned");
+            let mut store = lock_unpoisoned(&self.store);
             if store.map.insert((ctx, set), cycles).is_some() {
                 return;
             }
@@ -236,10 +236,7 @@ impl SimCache {
         let Ok(bits) = u64::from_str_radix(stem, 16) else {
             return false;
         };
-        self.pinned
-            .lock()
-            .expect("cache poisoned")
-            .contains(&ContextId(bits))
+        lock_unpoisoned(&self.pinned).contains(&ContextId(bits))
     }
 
     /// Expire `.sims` files whose mtime is older than the age budget.
@@ -323,7 +320,7 @@ impl SimCache {
 
     /// Number of entries currently in memory.
     pub fn len(&self) -> usize {
-        self.store.lock().expect("cache poisoned").map.len()
+        lock_unpoisoned(&self.store).map.len()
     }
 
     /// Whether the in-memory store is empty.
@@ -352,6 +349,25 @@ mod tests {
         );
         assert_eq!(b.get(ContextId(8), s).0, None);
         assert_eq!(a.len(), 1);
+    }
+
+    #[test]
+    fn a_poisoned_store_keeps_serving() {
+        let c = SimCache::new();
+        let ctx = ContextId(9);
+        let s = EventSet::single(EventClass::Win);
+        c.insert(ctx, s, 321);
+        let store = Arc::clone(&c.store);
+        let _ = std::thread::spawn(move || {
+            let _guard = store.lock().unwrap();
+            panic!("job panics while holding the cache lock");
+        })
+        .join();
+        assert!(c.store.is_poisoned());
+        c.insert(ctx, EventSet::EMPTY, 400);
+        assert_eq!(c.get(ctx, s), (Some(321), false));
+        assert_eq!(c.get(ctx, EventSet::EMPTY), (Some(400), false));
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

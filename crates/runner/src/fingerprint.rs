@@ -6,81 +6,25 @@
 //! cache entries; a changed config hashes to a fresh context and can never
 //! alias stale results.
 //!
-//! Hashing is FNV-1a over the types' `Hash` impls, so fingerprints are
-//! stable across runs and platforms (unlike `DefaultHasher`, whose
-//! algorithm is unspecified); this is what makes the optional on-disk
-//! cache layer safe to reuse between processes.
+//! Hashing is FNV-1a ([`StableHasher`]) over the types' `Hash` impls, so
+//! fingerprints are stable across runs and platforms (unlike
+//! `DefaultHasher`, whose algorithm is unspecified); this is what makes
+//! the optional on-disk cache layer safe to reuse between processes.
+//!
+//! A [`Trace`] and a [`DepGraph`](uarch_graph::DepGraph) each fingerprint
+//! their content once, on first use, and keep the value (clones too), so
+//! deriving a context id after the first is O(config + warm sets), not
+//! O(instructions). [`context_id`] folds in the trace's 64-bit
+//! fingerprint; [`graph_context_id`] is the graph's fingerprint tagged
+//! `"graph"`. Simulation context ids changed once with this scheme (they
+//! used to walk the instructions after the config); graph context ids
+//! did not, and job result hashes never depend on either. Disk-cache
+//! files and ledger replay records under the old simulation ids simply
+//! miss, are never misread, and age out under the cache's age budget.
 
 use std::hash::{Hash, Hasher};
 
-use uarch_trace::{MachineConfig, Trace};
-
-/// A 64-bit FNV-1a [`Hasher`] with a fixed, documented algorithm.
-#[derive(Debug, Clone)]
-pub struct StableHasher {
-    state: u64,
-}
-
-impl Default for StableHasher {
-    fn default() -> StableHasher {
-        StableHasher {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-}
-
-impl Hasher for StableHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    // Fixed-width integers hash as little-endian bytes regardless of the
-    // host platform (the std defaults use native endianness, which would
-    // make on-disk cache keys non-portable).
-    fn write_u8(&mut self, i: u8) {
-        self.write(&[i]);
-    }
-    fn write_u16(&mut self, i: u16) {
-        self.write(&i.to_le_bytes());
-    }
-    fn write_u32(&mut self, i: u32) {
-        self.write(&i.to_le_bytes());
-    }
-    fn write_u64(&mut self, i: u64) {
-        self.write(&i.to_le_bytes());
-    }
-    fn write_u128(&mut self, i: u128) {
-        self.write(&i.to_le_bytes());
-    }
-    fn write_usize(&mut self, i: usize) {
-        self.write(&(i as u64).to_le_bytes());
-    }
-    fn write_i8(&mut self, i: i8) {
-        self.write_u8(i as u8);
-    }
-    fn write_i16(&mut self, i: i16) {
-        self.write_u16(i as u16);
-    }
-    fn write_i32(&mut self, i: i32) {
-        self.write_u32(i as u32);
-    }
-    fn write_i64(&mut self, i: i64) {
-        self.write_u64(i as u64);
-    }
-    fn write_i128(&mut self, i: i128) {
-        self.write_u128(i as u128);
-    }
-    fn write_isize(&mut self, i: isize) {
-        self.write_usize(i as usize);
-    }
-}
+use uarch_trace::{MachineConfig, StableHasher, Trace};
 
 /// Identifies one simulation context: `(trace, config, warm sets)`.
 ///
@@ -119,17 +63,16 @@ impl std::fmt::Display for ContextId {
 }
 
 /// Fingerprint a dependence-graph analysis context: the graph's
-/// per-instruction node data and evaluation parameters, tagged `"graph"`
-/// so lane-kernel results never alias ground-truth simulation entries
-/// keyed by [`context_id`].
+/// per-instruction node data and evaluation parameters
+/// ([`DepGraph::fingerprint`](uarch_graph::DepGraph::fingerprint)),
+/// tagged `"graph"` so lane-kernel results never alias ground-truth
+/// simulation entries keyed by [`context_id`].
 pub fn graph_context_id(graph: &uarch_graph::DepGraph) -> ContextId {
-    let mut h = StableHasher::default();
-    graph.insts().hash(&mut h);
-    graph.params().hash(&mut h);
-    ContextId(h.finish()).graph()
+    ContextId(graph.fingerprint()).graph()
 }
 
-/// Fingerprint a full simulation context.
+/// Fingerprint a full simulation context. O(1) in the trace's length
+/// once the trace has been fingerprinted.
 pub fn context_id(
     config: &MachineConfig,
     trace: &Trace,
@@ -138,7 +81,7 @@ pub fn context_id(
 ) -> ContextId {
     let mut h = StableHasher::default();
     config.hash(&mut h);
-    trace.hash(&mut h);
+    trace.fingerprint().hash(&mut h);
     warm_data.hash(&mut h);
     warm_code.hash(&mut h);
     ContextId(h.finish())
@@ -188,12 +131,42 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_are_stable_values() {
-        // Pin one fingerprint: a change here means every on-disk cache in
-        // the wild silently invalidates, which should be a conscious
-        // decision, not an accident.
+    fn fingerprinting_is_transparent_to_clones_and_equality() {
+        let cfg = MachineConfig::table6();
+        let hashed = trace(100);
+        let id = context_id(&cfg, &hashed, &[], &[]);
+        let copy = hashed.clone();
+        assert_eq!(context_id(&cfg, &copy, &[], &[]), id);
+        let fresh = trace(100);
+        assert_eq!(hashed, fresh, "a computed fingerprint is not content");
+        assert_eq!(context_id(&cfg, &fresh, &[], &[]), id);
+    }
+
+    #[test]
+    fn one_deep_address_change_moves_the_context() {
+        let cfg = MachineConfig::table6();
+        let base = trace(10_000);
+        let mut insts = base.insts().to_vec();
+        insts[7_321].mem_addr ^= 0x40;
+        let moved = Trace::from_insts(insts);
+        assert_ne!(
+            context_id(&cfg, &base, &[], &[]),
+            context_id(&cfg, &moved, &[], &[])
+        );
+    }
+
+    #[test]
+    fn graph_ids_keep_the_inline_instruction_walk() {
+        use uarch_graph::DepGraph;
+        use uarch_sim::{Idealization, Simulator};
+        let cfg = MachineConfig::table6();
+        let t = trace(64);
+        let res = Simulator::new(&cfg).run(&t, Idealization::none());
+        let graph = DepGraph::build(&t, &res, &cfg);
         let mut h = StableHasher::default();
-        0xdead_beef_u64.hash(&mut h);
-        assert_eq!(h.finish(), 0x7513_fc78_a110_e05b);
+        graph.insts().hash(&mut h);
+        graph.params().hash(&mut h);
+        assert_eq!(graph_context_id(&graph), ContextId(h.finish()).graph());
+        assert_eq!(graph_context_id(&graph.clone()), graph_context_id(&graph));
     }
 }

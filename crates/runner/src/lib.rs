@@ -47,8 +47,9 @@ mod report;
 mod run;
 
 pub use cache::{SimCache, CACHE_MAX_AGE_ENV, CACHE_MAX_BYTES_ENV};
-pub use fingerprint::{context_id, graph_context_id, ContextId, StableHasher};
+pub use fingerprint::{context_id, graph_context_id, ContextId};
 pub use oracle::{Backend, Oracle};
 pub use pool::{default_threads, parallel_map};
 pub use report::RunReport;
 pub use run::{Query, Runner};
+pub use uarch_trace::StableHasher;

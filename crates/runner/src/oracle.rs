@@ -34,10 +34,10 @@ use uarch_graph::{DepGraph, LaneScratch, MAX_LANES};
 use uarch_obs::ledger::{unix_time_ms, JobRecord, Ledger, LedgerRecord, Provenance, RunHeader};
 use uarch_obs::{global, Counter, Registry};
 use uarch_sim::{EngineStats, Idealization, PipelineStalls, Simulator};
-use uarch_trace::{EventSet, MachineConfig, Trace};
+use uarch_trace::{EventSet, MachineConfig, StableHasher, Trace};
 
 use crate::cache::SimCache;
-use crate::fingerprint::{context_id, graph_context_id, ContextId, StableHasher};
+use crate::fingerprint::{context_id, graph_context_id, ContextId};
 use crate::pool::parallel_map;
 use crate::report::{Metrics, RunReport};
 use crate::run::Query;
@@ -85,9 +85,10 @@ pub enum Backend<'a> {
 
 impl<'a> Backend<'a> {
     /// Re-simulation after warming `warm_data`/`warm_code`: the one
-    /// constructor that fingerprints a simulation context. A long-lived
-    /// owner keeps the result (or its [`Backend::ctx`]) instead of
-    /// calling this per batch.
+    /// constructor that fingerprints a simulation context. The trace
+    /// keeps its own fingerprint, so after the first call this costs
+    /// O(warm sets), not O(insts); a long-lived owner may still keep the
+    /// result (or its [`Backend::ctx`]) to skip even that.
     pub fn sim_warmed(
         config: &'a MachineConfig,
         trace: &'a Trace,

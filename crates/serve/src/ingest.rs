@@ -38,7 +38,7 @@ use uarch_audit::{audit_attribution, AuditMetrics};
 use uarch_graph::{StreamingBuilder, DEFAULT_WINDOW};
 use uarch_obs::json::{self, Value};
 use uarch_obs::ledger::{LedgerRecord, WindowRecord};
-use uarch_obs::{Counter, Gauge, Histogram, Registry};
+use uarch_obs::{lock_unpoisoned, Counter, Gauge, Histogram, Registry};
 use uarch_trace::{Inst, MachineConfig, OpClass, Reg};
 
 /// Cap on concurrently open ingest sessions.
@@ -154,14 +154,14 @@ impl IngestSessions {
 
     /// Currently open sessions.
     pub fn active(&self) -> usize {
-        self.sessions.lock().expect("ingest table lock").len()
+        lock_unpoisoned(&self.sessions).len()
     }
 
     /// Flush and drop every session idle longer than `max_idle`;
     /// returns how many were evicted. Partial windows retire on the way
     /// out, so a vanished client's tail still reaches the ledger.
     pub fn evict_idle(&self, max_idle: Duration) -> usize {
-        let mut sessions = self.sessions.lock().expect("ingest table lock");
+        let mut sessions = lock_unpoisoned(&self.sessions);
         let now = Instant::now();
         let before = sessions.len();
         let evicted: Vec<IngestSession> = {
@@ -195,7 +195,7 @@ impl IngestSessions {
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
         let batch = parse_ingest_body(text)?;
         self.batches.inc();
-        let mut sessions = self.sessions.lock().expect("ingest table lock");
+        let mut sessions = lock_unpoisoned(&self.sessions);
         if !sessions.contains_key(&batch.session) {
             if sessions.len() >= MAX_SESSIONS {
                 return Err(format!("too many ingest sessions (max {MAX_SESSIONS})"));

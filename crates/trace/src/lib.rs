@@ -36,12 +36,14 @@
 
 mod config;
 mod events;
+mod fingerprint;
 mod inst;
 mod program;
 mod trace;
 
 pub use config::{BranchPredictorConfig, CacheConfig, FuClass, FuConfig, MachineConfig, TlbConfig};
 pub use events::{EventClass, EventSet, Subsets};
+pub use fingerprint::StableHasher;
 pub use inst::{Inst, OpClass, Reg};
 pub use program::{StaticInst, StaticProgram};
 pub use trace::{Trace, TraceBuilder};

@@ -1,12 +1,43 @@
 //! Dynamic traces and a builder for hand-constructing micro-kernels.
 
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
+
+use crate::fingerprint::StableHasher;
 use crate::inst::{Inst, OpClass, Reg, INST_BYTES};
 
 /// A microexecution trace: the dynamic instruction stream one program run
 /// produces, in program order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+///
+/// Equality compares the instructions. [`Hash`] writes only the 64-bit
+/// [`Trace::fingerprint`], so hashing a trace is O(1) after the first
+/// time.
+#[derive(Clone, Default)]
 pub struct Trace {
     insts: Vec<Inst>,
+    /// The content fingerprint, computed on first use. Never stale: the
+    /// instructions cannot change after construction.
+    fingerprint: OnceLock<u64>,
+}
+
+impl std::fmt::Debug for Trace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Trace").field("insts", &self.insts).finish()
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Trace) -> bool {
+        self.insts == other.insts
+    }
+}
+
+impl Eq for Trace {}
+
+impl Hash for Trace {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint());
+    }
 }
 
 impl Trace {
@@ -28,7 +59,21 @@ impl Trace {
                 w[0].pc
             );
         }
-        Trace { insts }
+        Trace {
+            insts,
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    /// A stable 64-bit fingerprint of the instructions ([`StableHasher`]
+    /// over them), equal for equal traces in any process. The first call
+    /// walks the trace; later calls, and calls on clones, are O(1).
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = StableHasher::default();
+            self.insts.hash(&mut h);
+            h.finish()
+        })
     }
 
     /// Number of dynamic instructions.
@@ -367,6 +412,32 @@ mod tests {
     fn counted_loop_rejects_zero_iters() {
         let mut b = TraceBuilder::new();
         b.counted_loop(0, Reg::int(1), |_, _| {});
+    }
+
+    /// Counts the bytes a `Hash` impl writes.
+    #[derive(Default)]
+    struct ByteCounter(usize);
+
+    impl Hasher for ByteCounter {
+        fn finish(&self) -> u64 {
+            self.0 as u64
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0 += bytes.len();
+        }
+    }
+
+    #[test]
+    fn hashing_a_fingerprinted_trace_is_constant_size() {
+        for n in [10, 10_000] {
+            let mut b = TraceBuilder::new();
+            b.nops(n);
+            let t = b.finish();
+            t.fingerprint();
+            let mut h = ByteCounter::default();
+            t.hash(&mut h);
+            assert_eq!(h.0, 8, "{n} insts must hash as one u64");
+        }
     }
 
     #[test]
