@@ -42,10 +42,11 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use uarch_graph::Attribution;
 use uarch_obs::ledger::AuditRecord;
 use uarch_obs::{Histogram, Registry};
 use uarch_sim::PipelineStalls;
-use uarch_trace::{EventClass, EventSet};
+use uarch_trace::EventClass;
 
 /// Per-category share divergence (attributed vs. counter, per-mille of
 /// the checkable total) beyond which a category is refuted. Share-space
@@ -218,19 +219,17 @@ pub fn counter_cycles(class: EventClass, stalls: &PipelineStalls) -> Option<u64>
 }
 
 /// Reconcile one range's graph-side breakdown against its stall
-/// counters.
-///
-/// `costs` are the eight singleton `cost(c)` values in
-/// [`EventClass::ALL`] order; `pairs` the pairwise `icost({a,b})`
-/// values (pass all 28 for an exact overlap split — missing pairs are
-/// treated as zero interaction). `baseline` is the range's `t(∅)`.
-pub fn audit_attribution(
-    scope: &str,
-    baseline: u64,
-    costs: &[i64; 8],
-    pairs: &[(EventSet, i64)],
-    stalls: &PipelineStalls,
-) -> Audit {
+/// counters. Pairs missing from `attribution.pairs` count as zero
+/// interaction, so the overlap split is exact for a full
+/// [`Attribution`].
+pub fn audit_attribution(scope: &str, attribution: &Attribution) -> Audit {
+    let Attribution {
+        baseline,
+        costs,
+        pairs,
+        stalls,
+    } = attribution;
+    let baseline = *baseline;
     // Overlap-adjusted attribution: each pair's interaction is split
     // evenly between its two members (×2 fixed-point to stay integer).
     let mut attributed_x2 = [0i64; 8];
@@ -447,9 +446,19 @@ impl AuditMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uarch_trace::EventSet;
 
-    fn stalls(bmisp: u64, imiss: u64, dmiss: u64, win: u64, bw: u64) -> PipelineStalls {
-        PipelineStalls {
+    /// An attribution without pair interactions over the five
+    /// checkable categories; both arrays in `bmisp, imiss, dmiss, win,
+    /// bw` order.
+    fn attribution(baseline: u64, costs: [i64; 5], stalls: [u64; 5]) -> Attribution {
+        use EventClass::{Bmisp, Bw, Dmiss, Imiss, Win};
+        let mut all = [0i64; 8];
+        for (class, cost) in [Bmisp, Imiss, Dmiss, Win, Bw].into_iter().zip(costs) {
+            all[class as usize] = cost;
+        }
+        let [bmisp, imiss, dmiss, win, bw] = stalls;
+        let stalls = PipelineStalls {
             fetch_bmisp_recovery: bmisp,
             fetch_imiss_l2_fill: imiss,
             load_mem_fill: dmiss,
@@ -458,29 +467,25 @@ mod tests {
             // Attempts, not cycles: must never enter the comparison.
             issue_fu_busy: 1_000_000,
             ..PipelineStalls::default()
+        };
+        Attribution {
+            baseline,
+            costs: all,
+            pairs: Vec::new(),
+            stalls,
         }
     }
 
-    fn costs(bmisp: i64, imiss: i64, dmiss: i64, win: i64, bw: i64) -> [i64; 8] {
-        let mut c = [0i64; 8];
-        c[EventClass::Bmisp as usize] = bmisp;
-        c[EventClass::Imiss as usize] = imiss;
-        c[EventClass::Dmiss as usize] = dmiss;
-        c[EventClass::Win as usize] = win;
-        c[EventClass::Bw as usize] = bw;
-        c
+    /// Graph says dmiss is small; counters say it dominates.
+    fn dmiss_underattributed(baseline: u64) -> Attribution {
+        attribution(baseline, [100, 0, 50, 100, 0], [100, 0, 900, 100, 0])
     }
 
     #[test]
     fn matching_shares_confirm_every_checkable_category() {
         // Counters are 2x the attributions uniformly: shares identical.
-        let audit = audit_attribution(
-            "run",
-            1000,
-            &costs(100, 50, 400, 200, 50),
-            &[],
-            &stalls(200, 100, 800, 400, 100),
-        );
+        let uniform = attribution(1000, [100, 50, 400, 200, 50], [200, 100, 800, 400, 100]);
+        let audit = audit_attribution("run", &uniform);
         assert!(audit.checked);
         assert_eq!(audit.score_pm, 0);
         assert_eq!(audit.confirmed(), 5);
@@ -492,14 +497,7 @@ mod tests {
 
     #[test]
     fn shifted_shares_refute_the_shifted_category() {
-        // Graph says dmiss is small; counters say it dominates.
-        let audit = audit_attribution(
-            "run",
-            1000,
-            &costs(100, 0, 50, 100, 0),
-            &[],
-            &stalls(100, 0, 900, 100, 0),
-        );
+        let audit = audit_attribution("run", &dmiss_underattributed(1000));
         let dmiss = audit
             .categories
             .iter()
@@ -514,13 +512,11 @@ mod tests {
     #[test]
     fn pairwise_icosts_split_evenly_between_members() {
         let pair = EventSet::single(EventClass::Dmiss).with(EventClass::Win);
-        let audit = audit_attribution(
-            "run",
-            1000,
-            &costs(0, 0, 100, 100, 0),
-            &[(pair, 50)],
-            &stalls(0, 0, 250, 250, 0),
-        );
+        let split = Attribution {
+            pairs: vec![(pair, 50)],
+            ..attribution(1000, [0, 0, 100, 100, 0], [0, 0, 250, 250, 0])
+        };
+        let audit = audit_attribution("run", &split);
         let get = |class| {
             audit
                 .categories
@@ -536,13 +532,7 @@ mod tests {
 
     #[test]
     fn below_noise_floor_everything_is_unmodeled() {
-        let audit = audit_attribution(
-            "run",
-            1000,
-            &costs(1, 1, 1, 1, 1),
-            &[],
-            &stalls(1, 1, 1, 1, 1),
-        );
+        let audit = audit_attribution("run", &attribution(1000, [1; 5], [1; 5]));
         assert!(!audit.checked);
         assert_eq!(audit.unmodeled(), 8);
         assert_eq!(audit.verdict(), Verdict::Unmodeled);
@@ -550,13 +540,7 @@ mod tests {
 
     #[test]
     fn record_roundtrip_preserves_the_waterfall() {
-        let audit = audit_attribution(
-            "window 3",
-            4096,
-            &costs(100, 0, 50, 100, 0),
-            &[],
-            &stalls(100, 0, 900, 100, 0),
-        );
+        let audit = audit_attribution("window 3", &dmiss_underattributed(4096));
         let record = audit.to_record(7);
         assert_eq!(record.confirmed, audit.confirmed());
         assert_eq!(record.refuted, audit.refuted());
@@ -579,13 +563,7 @@ mod tests {
     fn metrics_count_checks_and_verdicts() {
         let registry = Registry::new();
         let metrics = AuditMetrics::bind(&registry);
-        let audit = audit_attribution(
-            "run",
-            1000,
-            &costs(100, 0, 50, 100, 0),
-            &[],
-            &stalls(100, 0, 900, 100, 0),
-        );
+        let audit = audit_attribution("run", &dmiss_underattributed(1000));
         metrics.observe(&audit.to_record(1));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("audit.checks"), 1);

@@ -8,27 +8,17 @@
 //! useful if it both trusts good models and catches bad ones.
 
 use uarch_audit::{audit_attribution, Verdict};
-use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
-use uarch_sim::{Idealization, SimResult, Simulator};
-use uarch_trace::{EventClass, MachineConfig, Trace};
+use uarch_graph::{Attribution, LaneScratch};
+use uarch_trace::{EventClass, MachineConfig};
 use uarch_workloads::{generate, BenchProfile, Workload};
 
 const INSTS: usize = 6_000;
 const SEED: u64 = 2003;
 
-fn baseline(w: &Workload, config: &MachineConfig) -> SimResult {
-    Simulator::new(config).run_warmed(&w.trace, Idealization::none(), &w.warm_data, &w.warm_code)
-}
-
-/// The graph-side lattice of `trace` as modeled by `config`.
-fn lattice(
-    trace: &Trace,
-    result: &SimResult,
-    config: &MachineConfig,
-) -> (u64, [i64; 8], Vec<(uarch_trace::EventSet, i64)>) {
-    let graph = DepGraph::build(trace, result, config);
+/// The warmed workload's attribution as modeled by `config`.
+fn attribution(w: &Workload, config: &MachineConfig) -> Attribution {
     let mut scratch = LaneScratch::new();
-    breakdown_lattice(&graph, DEFAULT_CHUNK, &mut scratch)
+    Attribution::simulate(config, &w.trace, &w.warm_data, &w.warm_code, &mut scratch)
 }
 
 #[test]
@@ -39,10 +29,9 @@ fn table7_suite_confirms_at_least_90_pct_of_checked_categories() {
     let mut checked_profiles = 0usize;
     for profile in BenchProfile::suite() {
         let w = generate(profile, INSTS, SEED);
-        let result = baseline(&w, &config);
-        let (base, costs, pairs) = lattice(&w.trace, &result, &config);
-        let audit = audit_attribution(profile.name, base, &costs, &pairs, &result.stalls);
-        assert!(base > 0, "{}: empty baseline", profile.name);
+        let attribution = attribution(&w, &config);
+        let audit = audit_attribution(profile.name, &attribution);
+        assert!(attribution.baseline > 0, "{}: empty baseline", profile.name);
         if audit.checked {
             checked_profiles += 1;
         }
@@ -77,11 +66,10 @@ fn miscalibrated_memory_latency_is_refuted_and_dmiss_is_named() {
     let mut wrong = MachineConfig::table6();
     wrong.mem_latency = 5;
     let w = generate(BenchProfile::by_name("mcf").expect("mcf"), INSTS, SEED);
-    let counters = baseline(&w, &real);
+    let honest = attribution(&w, &real);
 
     // Control arm: the honest model confirms on the same workload.
-    let honest = lattice(&w.trace, &counters, &real);
-    let audit = audit_attribution("run", honest.0, &honest.1, &honest.2, &counters.stalls);
+    let audit = audit_attribution("run", &honest);
     assert_eq!(
         audit.verdict(),
         Verdict::Confirmed,
@@ -91,9 +79,11 @@ fn miscalibrated_memory_latency_is_refuted_and_dmiss_is_named() {
 
     // Mis-calibrated arm: graph and its costs come from the wrong
     // config, counters from the real machine.
-    let modeled = baseline(&w, &wrong);
-    let (base, costs, pairs) = lattice(&w.trace, &modeled, &wrong);
-    let audit = audit_attribution("run", base, &costs, &pairs, &counters.stalls);
+    let modeled = Attribution {
+        stalls: honest.stalls,
+        ..attribution(&w, &wrong)
+    };
+    let audit = audit_attribution("run", &modeled);
     assert_eq!(
         audit.verdict(),
         Verdict::Refuted,
@@ -128,9 +118,7 @@ fn waterfalls_are_identical_across_the_wire() {
     // ledger tail, an SSE subscriber — reproduces the same table.
     let config = MachineConfig::table6();
     let w = generate(BenchProfile::by_name("gcc").expect("gcc"), INSTS, SEED);
-    let result = baseline(&w, &config);
-    let (base, costs, pairs) = lattice(&w.trace, &result, &config);
-    let audit = audit_attribution("run", base, &costs, &pairs, &result.stalls);
+    let audit = audit_attribution("run", &attribution(&w, &config));
     let record = audit.to_record(7);
     let line = uarch_obs::ledger::LedgerRecord::Audit(record.clone()).to_json_line();
     let (parsed, skipped) = uarch_obs::ledger::parse_ledger_lenient(&line).expect("parses");

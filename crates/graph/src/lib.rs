@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod attribution;
 mod build;
 mod critpath;
 mod custom;
@@ -61,12 +62,11 @@ mod lanes;
 mod model;
 mod stream;
 
+pub use attribution::Attribution;
 pub use build::decompose_ep;
 pub use critpath::{CritPathSummary, SlackReport};
 pub use custom::InstIdealization;
 pub use eval::NodeTimes;
 pub use lanes::{LaneScratch, DEFAULT_CHUNK, MAX_LANES};
 pub use model::{DepGraph, EdgeKind, GraphInst, GraphParams, NodeKind, ProducerEdge};
-pub use stream::{
-    breakdown_lattice, StreamingBuilder, WindowBreakdown, DEFAULT_TOP_PAIRS, DEFAULT_WINDOW,
-};
+pub use stream::{StreamingBuilder, WindowBreakdown, DEFAULT_TOP_PAIRS, DEFAULT_WINDOW};

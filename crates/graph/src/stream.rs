@@ -1,39 +1,31 @@
 //! Streaming trace ingestion: incremental dependence-graph analysis
 //! behind a bounded ring-buffered window.
 //!
-//! The batch pipeline ([`DepGraph::build`] → `eval_many`) requires the
-//! whole trace up front; a live producer (generator, file tail, the
-//! `POST /ingest` endpoint on `uarch-serve`) has no whole trace. The
-//! [`StreamingBuilder`] accepts instructions *as they arrive*, holds at
-//! most one window of not-yet-attributed instructions, and — each time
-//! a full window accumulates — retires it: builds the window's
-//! dependence graph, evaluates the breakdown lattice with the PR 4
-//! chunked lane kernel ([`DepGraph::eval_many_chunked`], reusing one
-//! [`LaneScratch`] across windows), and emits a [`WindowBreakdown`].
+//! The batch pipeline ([`crate::DepGraph::build`] → `eval_many`)
+//! requires the whole trace up front; a live producer (generator, file
+//! tail, the `POST /ingest` endpoint on `uarch-serve`) has no whole
+//! trace. The [`StreamingBuilder`] accepts instructions *as they
+//! arrive*, holds at most one window of not-yet-attributed
+//! instructions, and — each time a full window accumulates — retires
+//! it through [`Attribution::simulate`], exactly as a batch analysis of
+//! the same range in isolation (proptest-pinned bit-identical).
 //! Resident memory is bounded by `window + largest push batch`
-//! instructions no matter how long the stream runs.
-//!
-//! Fidelity contract: a retired window is analyzed exactly as a batch
-//! pipeline would analyze the same instruction range in isolation —
-//! same simulator over the window's sub-trace, same graph construction,
-//! same lattice answers (proptest-pinned bit-identical). Dependences
-//! and machine state crossing the window boundary are deliberately cut:
-//! that truncation is what buys bounded memory, and it is identical on
-//! both paths, so streaming answers never drift from batch answers.
+//! instructions no matter how long the stream runs. Dependences and
+//! machine state crossing a window boundary are deliberately cut: that
+//! truncation is what buys bounded memory.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use uarch_sim::{Idealization, PipelineStalls, Simulator};
-use uarch_trace::{EventClass, EventSet, Inst, MachineConfig, Trace};
+use uarch_trace::{EventClass, Inst, MachineConfig, Trace};
 
-use crate::lanes::{LaneScratch, DEFAULT_CHUNK};
-use crate::model::DepGraph;
+use crate::attribution::Attribution;
+use crate::lanes::LaneScratch;
 
 /// Default retirement window, in instructions.
 pub const DEFAULT_WINDOW: usize = 1024;
 
-/// Number of top pairwise interactions kept per window.
+/// Number of top pairwise interactions a window record keeps.
 pub const DEFAULT_TOP_PAIRS: usize = 4;
 
 /// The icost breakdown of one retired streaming window.
@@ -45,23 +37,9 @@ pub struct WindowBreakdown {
     pub start: u64,
     /// Past-the-end stream instruction index.
     pub end: u64,
-    /// Baseline critical-path cycles `t(∅)` of the window graph.
-    pub baseline: u64,
-    /// Singleton `cost(c)` per base category, in [`EventClass::ALL`]
-    /// order.
-    pub costs: [i64; 8],
-    /// Top pairwise interaction costs by magnitude (zero interactions
-    /// are omitted), largest `|icost|` first; ties break toward the
-    /// lexically earlier set so the selection is deterministic.
-    pub pairs: Vec<(EventSet, i64)>,
-    /// Every nonzero pairwise interaction cost, same order as `pairs`
-    /// but untruncated — the attribution auditor's overlap split needs
-    /// all of them, not just the top few the ledger keeps.
-    pub all_pairs: Vec<(EventSet, i64)>,
-    /// Per-cause stall counters of the window's baseline simulation —
-    /// the counter side the audit plane reconciles `costs`/`all_pairs`
-    /// against.
-    pub stalls: PipelineStalls,
+    /// The window's breakdown and stall counters, exactly as a batch
+    /// analysis of the same range in isolation would produce them.
+    pub attribution: Attribution,
     /// Instructions already ingested beyond `end` when this window was
     /// evaluated — how far attribution trails the ingest frontier.
     pub frontier_lag: u64,
@@ -74,16 +52,18 @@ impl WindowBreakdown {
     pub fn costs_by_name(&self) -> BTreeMap<String, i64> {
         EventClass::ALL
             .iter()
-            .zip(self.costs)
+            .zip(self.attribution.costs)
             .map(|(c, v)| (c.name().to_string(), v))
             .collect()
     }
 
-    /// The top pair interactions as a set-display→icost map (ledger
-    /// wire shape).
+    /// The top [`DEFAULT_TOP_PAIRS`] pair interactions as a
+    /// set-display→icost map (ledger wire shape).
     pub fn pairs_by_name(&self) -> BTreeMap<String, i64> {
-        self.pairs
+        self.attribution
+            .pairs
             .iter()
+            .take(DEFAULT_TOP_PAIRS)
             .map(|(s, v)| (s.to_string(), *v))
             .collect()
     }
@@ -101,7 +81,6 @@ impl WindowBreakdown {
 pub struct StreamingBuilder {
     config: MachineConfig,
     window: usize,
-    chunk: usize,
     /// Not-yet-retired instructions: the partial window plus whatever a
     /// push batch appended beyond it. This is the *only* stream-length
     /// state — retired windows are dropped whole.
@@ -125,7 +104,6 @@ impl StreamingBuilder {
         StreamingBuilder {
             config: config.clone(),
             window,
-            chunk: DEFAULT_CHUNK,
             pending: Vec::with_capacity(window),
             expected_pc: None,
             retired: 0,
@@ -133,14 +111,6 @@ impl StreamingBuilder {
             scratch: LaneScratch::new(),
             peak_resident: 0,
         }
-    }
-
-    /// Override the lane-kernel chunk length (clamped to at least 1);
-    /// any chunking yields bit-identical answers, so this is a
-    /// performance/test knob only.
-    pub fn with_chunk(mut self, chunk: usize) -> StreamingBuilder {
-        self.chunk = chunk.max(1);
-        self
     }
 
     /// Total instructions ingested so far.
@@ -151,11 +121,6 @@ impl StreamingBuilder {
     /// Windows retired so far.
     pub fn windows_emitted(&self) -> u64 {
         self.next_window
-    }
-
-    /// Instructions currently resident (the partial window).
-    pub fn resident_insts(&self) -> usize {
-        self.pending.len()
     }
 
     /// High-water mark of resident instructions over the stream's
@@ -229,19 +194,12 @@ impl StreamingBuilder {
             vec![("insts", n.to_string())],
         );
         let trace = Trace::from_insts(insts);
-        let result = Simulator::new(&self.config).run(&trace, Idealization::none());
-        let graph = DepGraph::build(&trace, &result, &self.config);
-        let (baseline, costs, all_pairs) = breakdown_lattice(&graph, self.chunk, &mut self.scratch);
-        let pairs = all_pairs.iter().take(DEFAULT_TOP_PAIRS).copied().collect();
+        let attribution = Attribution::simulate(&self.config, &trace, &[], &[], &mut self.scratch);
         let breakdown = WindowBreakdown {
             window: self.next_window,
             start: self.retired,
             end: self.retired + n,
-            baseline,
-            costs,
-            pairs,
-            all_pairs,
-            stalls: result.stalls,
+            attribution,
             frontier_lag: self.pending.len() as u64,
             eval_us: start.elapsed().as_micros() as u64,
         };
@@ -249,60 +207,6 @@ impl StreamingBuilder {
         self.retired += n;
         breakdown
     }
-}
-
-/// All 28 unordered pairs of distinct base categories, in
-/// [`EventClass::ALL`] × [`EventClass::ALL`] upper-triangle order.
-fn all_pairs() -> Vec<EventSet> {
-    let mut pairs = Vec::with_capacity(28);
-    for (i, a) in EventClass::ALL.iter().enumerate() {
-        for b in &EventClass::ALL[i + 1..] {
-            pairs.push(EventSet::single(*a).with(*b));
-        }
-    }
-    pairs
-}
-
-/// Evaluate the breakdown lattice of `graph` — baseline, the 8
-/// singletons, and all 28 pairs in one chunked lane pass — and reduce
-/// it to `(t(∅), singleton costs, nonzero pairwise icosts)`, the pairs
-/// magnitude-sorted (ties toward the lexically earlier set). Callers
-/// truncate the pairs for the ledger; the attribution auditor consumes
-/// the full list.
-pub fn breakdown_lattice(
-    graph: &DepGraph,
-    chunk: usize,
-    scratch: &mut LaneScratch,
-) -> (u64, [i64; 8], Vec<(EventSet, i64)>) {
-    let mut sets = Vec::with_capacity(1 + 8 + 28);
-    sets.push(EventSet::EMPTY);
-    sets.extend(EventClass::ALL.map(EventSet::single));
-    let pair_sets = all_pairs();
-    sets.extend_from_slice(&pair_sets);
-    let times = graph.eval_many_chunked(&sets, chunk, scratch);
-    let baseline = times[0];
-    let cost = |t: u64| baseline as i64 - t as i64;
-    let mut costs = [0i64; 8];
-    for (i, t) in times[1..9].iter().enumerate() {
-        costs[i] = cost(*t);
-    }
-    let mut pairs: Vec<(EventSet, i64)> = Vec::with_capacity(28);
-    for (k, set) in pair_sets.iter().enumerate() {
-        let mut members = set.iter();
-        let (a, b) = (members.next().unwrap(), members.next().unwrap());
-        let ai = EventClass::ALL.iter().position(|c| *c == a).unwrap();
-        let bi = EventClass::ALL.iter().position(|c| *c == b).unwrap();
-        let icost = cost(times[9 + k]) - costs[ai] - costs[bi];
-        if icost != 0 {
-            pairs.push((*set, icost));
-        }
-    }
-    pairs.sort_by(|(s1, v1), (s2, v2)| {
-        v2.abs()
-            .cmp(&v1.abs())
-            .then_with(|| s1.bits().cmp(&s2.bits()))
-    });
-    (baseline, costs, pairs)
 }
 
 #[cfg(test)]
@@ -331,54 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_windows_match_isolated_batch_analysis() {
-        let config = MachineConfig::table6();
-        let trace = busy_trace(300);
-        let mut builder = StreamingBuilder::new(&config, 64).with_chunk(17);
-        let mut windows = Vec::new();
-        for chunk in trace.insts().chunks(23) {
-            windows.extend(builder.push_batch(chunk).expect("connected stream"));
-        }
-        assert_eq!(windows.len(), 300 / 64);
-        for w in &windows {
-            let slice = trace.insts()[w.start as usize..w.end as usize].to_vec();
-            let t = Trace::from_insts(slice);
-            let result = Simulator::new(&config).run(&t, Idealization::none());
-            let graph = DepGraph::build(&t, &result, &config);
-            assert_eq!(w.baseline, graph.evaluate(EventSet::EMPTY));
-            for (i, class) in EventClass::ALL.iter().enumerate() {
-                assert_eq!(
-                    w.costs[i],
-                    graph.cost(EventSet::single(*class)),
-                    "window {} cost({})",
-                    w.window,
-                    class
-                );
-            }
-            for (set, icost) in w.pairs.iter().chain(&w.all_pairs) {
-                let mut it = set.iter();
-                let (a, b) = (it.next().unwrap(), it.next().unwrap());
-                let expect = graph.cost(*set)
-                    - graph.cost(EventSet::single(a))
-                    - graph.cost(EventSet::single(b));
-                assert_eq!(*icost, expect, "window {} icost({})", w.window, set);
-            }
-            // The truncated top-k list is a prefix of the full list,
-            // and the stall counters match the isolated batch sim.
-            assert_eq!(w.pairs.as_slice(), &w.all_pairs[..w.pairs.len()]);
-            assert!(w.all_pairs.iter().all(|(_, v)| *v != 0));
-            assert_eq!(w.stalls, result.stalls, "window {}", w.window);
-        }
-    }
-
-    #[test]
     fn ring_window_bounds_resident_memory_and_tracks_frontier() {
         let config = MachineConfig::table6();
         let trace = busy_trace(400);
         let mut builder = StreamingBuilder::new(&config, 32);
         for chunk in trace.insts().chunks(50) {
             builder.push_batch(chunk).expect("connected");
-            assert!(builder.resident_insts() < 32 + 50);
+            assert!(builder.frontier_lag() < 32 + 50);
         }
         assert!(builder.peak_resident() < 32 + 50);
         assert_eq!(builder.ingested(), 400);
@@ -436,7 +299,9 @@ mod tests {
         let costs = w.costs_by_name();
         assert_eq!(costs.len(), 8);
         assert!(costs.contains_key("dmiss") && costs.contains_key("shalu"));
-        for (name, icost) in w.pairs_by_name() {
+        let pairs = w.pairs_by_name();
+        assert!(pairs.len() <= DEFAULT_TOP_PAIRS);
+        for (name, icost) in pairs {
             assert!(name.contains('+'), "{name}");
             assert_ne!(icost, 0, "zero interactions are omitted");
         }

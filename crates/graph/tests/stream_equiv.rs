@@ -1,14 +1,18 @@
 //! Property-based incremental-vs-batch equivalence: over random
-//! workload traces × window sizes × push-chunk boundaries × lane-chunk
-//! lengths, every window a [`StreamingBuilder`] retires must be
-//! *bit-identical* to a batch `DepGraph` analysis of the same
-//! instruction range in isolation — streaming changes when analysis
-//! happens, never what it computes.
+//! workload traces × window sizes × push-chunk boundaries, every window
+//! a [`StreamingBuilder`] retires must be *bit-identical* to a batch
+//! `DepGraph` analysis of the same instruction range in isolation —
+//! streaming changes when analysis happens, never what it computes.
+//! The batch side evaluates sets one at a time through the scalar
+//! `DepGraph::cost`, never through `Attribution`, so it stays an
+//! independent reference.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use uarch_graph::{DepGraph, StreamingBuilder};
-use uarch_sim::{Idealization, Simulator};
+use uarch_graph::{DepGraph, StreamingBuilder, DEFAULT_TOP_PAIRS};
+use uarch_sim::{Idealization, PipelineStalls, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Trace};
 
 /// A workload trace plus the streaming knobs under test.
@@ -19,7 +23,6 @@ struct Case {
     seed: u64,
     window: usize,
     push_chunk: usize,
-    lane_chunk: usize,
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -30,26 +33,27 @@ fn arb_case() -> impl Strategy<Value = Case> {
         0u64..1_000,
         8usize..100,
         1usize..130,
-        1usize..200,
     )
-        .prop_map(
-            |(profile, insts, seed, window, push_chunk, lane_chunk)| Case {
-                profile,
-                insts,
-                seed,
-                window,
-                push_chunk,
-                lane_chunk,
-            },
-        )
+        .prop_map(|(profile, insts, seed, window, push_chunk)| Case {
+            profile,
+            insts,
+            seed,
+            window,
+            push_chunk,
+        })
 }
 
 /// The batch side of the equivalence: analyze `[start, end)` of the
 /// stream as its own trace, exactly as a post-mortem pipeline would.
-fn batch_window(trace: &Trace, start: usize, end: usize, config: &MachineConfig) -> DepGraph {
+fn batch_window(
+    trace: &Trace,
+    start: usize,
+    end: usize,
+    config: &MachineConfig,
+) -> (DepGraph, PipelineStalls) {
     let t = Trace::from_insts(trace.insts()[start..end].to_vec());
     let result = Simulator::new(config).run(&t, Idealization::none());
-    DepGraph::build(&t, &result, config)
+    (DepGraph::build(&t, &result, config), result.stalls)
 }
 
 proptest! {
@@ -60,8 +64,7 @@ proptest! {
         let config = MachineConfig::table6();
         let profile = uarch_workloads::BenchProfile::by_name(case.profile).unwrap();
         let w = uarch_workloads::generate(profile, case.insts, case.seed);
-        let mut builder = StreamingBuilder::new(&config, case.window)
-            .with_chunk(case.lane_chunk);
+        let mut builder = StreamingBuilder::new(&config, case.window);
         let mut windows = Vec::new();
         for chunk in w.trace.insts().chunks(case.push_chunk) {
             windows.extend(builder.push_batch(chunk).expect("generated traces are connected"));
@@ -76,49 +79,44 @@ proptest! {
         for win in &windows {
             prop_assert_eq!(win.start, expect_start, "windows tile the stream");
             expect_start = win.end;
-            let graph = batch_window(&w.trace, win.start as usize, win.end as usize, &config);
-            // Baseline and the eight singleton costs, bit for bit.
-            prop_assert_eq!(win.baseline, graph.evaluate(EventSet::EMPTY));
+            let (graph, stalls) =
+                batch_window(&w.trace, win.start as usize, win.end as usize, &config);
+            let got = &win.attribution;
+            // Baseline, the eight singleton costs and the stall
+            // counters, bit for bit.
+            prop_assert_eq!(got.baseline, graph.evaluate(EventSet::EMPTY));
+            prop_assert_eq!(got.stalls, stalls, "window {} stalls", win.window);
             for (i, class) in EventClass::ALL.iter().enumerate() {
                 prop_assert_eq!(
-                    win.costs[i],
+                    got.costs[i],
                     graph.cost(EventSet::single(*class)),
                     "window {} cost({})", win.window, class
                 );
             }
-            // The reported pair interactions match the scalar closed
-            // form, and they really are the largest-magnitude nonzero
-            // pairs: nothing omitted beats the smallest one kept.
-            let mut floor = i64::MAX;
-            for (set, icost) in &win.pairs {
-                let mut it = set.iter();
-                let (a, b) = (it.next().unwrap(), it.next().unwrap());
-                let expect = graph.cost(*set)
-                    - graph.cost(EventSet::single(a))
-                    - graph.cost(EventSet::single(b));
-                prop_assert_eq!(*icost, expect, "window {} icost({})", win.window, set);
-                prop_assert_ne!(*icost, 0);
-                floor = floor.min(icost.abs());
-            }
-            if win.pairs.len() == uarch_graph::DEFAULT_TOP_PAIRS {
-                let kept: Vec<EventSet> = win.pairs.iter().map(|(s, _)| *s).collect();
-                for (i, a) in EventClass::ALL.iter().enumerate() {
-                    for b in &EventClass::ALL[i + 1..] {
-                        let set = EventSet::single(*a).with(*b);
-                        if kept.contains(&set) {
-                            continue;
-                        }
-                        let omitted = graph.cost(set)
-                            - graph.cost(EventSet::single(*a))
-                            - graph.cost(EventSet::single(*b));
-                        prop_assert!(
-                            omitted.abs() <= floor,
-                            "omitted pair {} (icost {}) beats kept floor {}",
-                            set, omitted, floor
-                        );
+            // The pair list is exactly every nonzero scalar-closed-form
+            // icost, largest magnitude first, ties toward the lexically
+            // earlier set.
+            let mut expect = Vec::new();
+            for (i, a) in EventClass::ALL.iter().enumerate() {
+                for b in &EventClass::ALL[i + 1..] {
+                    let set = EventSet::single(*a).with(*b);
+                    let icost = graph.cost(set)
+                        - graph.cost(EventSet::single(*a))
+                        - graph.cost(EventSet::single(*b));
+                    if icost != 0 {
+                        expect.push((set, icost));
                     }
                 }
             }
+            expect.sort_by_key(|(set, icost)| (std::cmp::Reverse(icost.abs()), set.bits()));
+            prop_assert_eq!(&got.pairs, &expect, "window {} pairs", win.window);
+            // The ledger keeps the top few of them.
+            let top: BTreeMap<String, i64> = expect
+                .iter()
+                .take(DEFAULT_TOP_PAIRS)
+                .map(|(s, v)| (s.to_string(), *v))
+                .collect();
+            prop_assert_eq!(win.pairs_by_name(), top, "window {} top pairs", win.window);
         }
         prop_assert_eq!(expect_start, case.insts as u64);
     }

@@ -15,10 +15,9 @@ use std::sync::{Mutex, OnceLock};
 
 use icost::{icost, icost_of_sets, CostOracle};
 use uarch_audit::audit_attribution;
-use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
+use uarch_graph::{Attribution, DepGraph, LaneScratch};
 use uarch_obs::ledger::LedgerRecord;
 use uarch_obs::{lock_unpoisoned, CounterSampler, COUNTER_INTERVAL};
-use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
 use crate::cache::SimCache;
@@ -288,14 +287,10 @@ impl Runner {
         let tracer = uarch_obs::global();
         let _sp = tracer.span("runner", "runner.audit");
         // The cache stores cycles only, so the audit re-simulates the
-        // baseline to recover exec records and stall counters, then
-        // checks them against a fresh graph's breakdown lattice.
-        let result =
-            Simulator::new(config).run_warmed(trace, Idealization::none(), warm_data, warm_code);
-        let graph = DepGraph::build(trace, &result, config);
+        // baseline to recover exec records and stall counters.
         let mut scratch = LaneScratch::new();
-        let (baseline, costs, pairs) = breakdown_lattice(&graph, DEFAULT_CHUNK, &mut scratch);
-        let audit = audit_attribution("run", baseline, &costs, &pairs, &result.stalls);
+        let attribution = Attribution::simulate(config, trace, warm_data, warm_code, &mut scratch);
+        let audit = audit_attribution("run", &attribution);
         let run = run.unwrap_or_else(|| ledger.next_run_id());
         ledger.append(&LedgerRecord::Audit(audit.to_record(run)));
     }

@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use uarch_audit::{audit_attribution, AuditMetrics};
-use uarch_graph::{breakdown_lattice, DepGraph, LaneScratch, DEFAULT_CHUNK};
+use uarch_graph::{Attribution, DepGraph, LaneScratch};
 use uarch_obs::json::{self, Value};
 use uarch_obs::ledger::{LedgerRecord, ReportRecord};
 use uarch_obs::{prom, Counter, Gauge, Histogram, Registry};
@@ -152,7 +152,6 @@ impl ServeHost {
         let baseline = Simulator::new(&ctx.config).run(&ctx.trace, Idealization::none());
         let baseline_stalls = baseline.stalls;
         let graph = DepGraph::build(&ctx.trace, &baseline, &ctx.config);
-        let audit = uarch_audit::enabled();
         let audit_registry = Registry::new();
         let audit_metrics = AuditMetrics::bind(&audit_registry);
         let serve_registry = Registry::new();
@@ -168,7 +167,7 @@ impl ServeHost {
         // plan.* renders at zero before the first auto batch arrives.
         let plan_registry = Registry::new();
         uarch_plan::bind_metrics(&plan_registry);
-        ServeHost {
+        let host = ServeHost {
             requests: serve_registry.counter("serve.requests"),
             http_errors: serve_registry.counter("serve.http_errors"),
             queries_answered: serve_registry.counter("serve.queries_answered"),
@@ -184,15 +183,8 @@ impl ServeHost {
             plan_registry,
             calibrator,
             sim_ctx,
-            ingest: {
-                let ingest = IngestSessions::new(ctx.config.clone());
-                if audit {
-                    ingest.with_audit(audit_metrics.clone())
-                } else {
-                    ingest
-                }
-            },
-            audit,
+            ingest: IngestSessions::new(ctx.config.clone()),
+            audit: false,
             audit_registry,
             audit_metrics,
             baseline_stalls,
@@ -202,6 +194,11 @@ impl ServeHost {
             ctx,
             graph,
             ready: AtomicBool::new(false),
+        };
+        if uarch_audit::enabled() {
+            host.with_audit()
+        } else {
+            host
         }
     }
 
@@ -209,11 +206,8 @@ impl ServeHost {
     /// embedders; the serve binary reads `ICOST_AUDIT` instead).
     pub fn with_audit(mut self) -> ServeHost {
         self.audit = true;
-        let ingest = std::mem::replace(
-            &mut self.ingest,
-            IngestSessions::new(self.ctx.config.clone()),
-        );
-        self.ingest = ingest.with_audit(self.audit_metrics.clone());
+        self.ingest =
+            IngestSessions::new(self.ctx.config.clone()).with_audit(self.audit_metrics.clone());
         self
     }
 
@@ -515,13 +509,12 @@ impl ServeHost {
     pub fn handle_explain(&self, body: &[u8]) -> Result<String, String> {
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
         let range = parse_explain_body(text)?;
+        let mut scratch = LaneScratch::new();
         let audit = match range {
-            None => {
-                let mut scratch = LaneScratch::new();
-                let (baseline, costs, pairs) =
-                    breakdown_lattice(&self.graph, DEFAULT_CHUNK, &mut scratch);
-                audit_attribution("run", baseline, &costs, &pairs, &self.baseline_stalls)
-            }
+            None => audit_attribution(
+                "run",
+                &Attribution::of_graph(&self.graph, self.baseline_stalls, &mut scratch),
+            ),
             Some((start, end)) => {
                 let len = self.ctx.trace.len() as u64;
                 if start >= end || end > len {
@@ -532,18 +525,9 @@ impl ServeHost {
                 let sub = Trace::from_insts(
                     self.ctx.trace.insts()[start as usize..end as usize].to_vec(),
                 );
-                let result = Simulator::new(&self.ctx.config).run(&sub, Idealization::none());
-                let graph = DepGraph::build(&sub, &result, &self.ctx.config);
-                let mut scratch = LaneScratch::new();
-                let (baseline, costs, pairs) =
-                    breakdown_lattice(&graph, DEFAULT_CHUNK, &mut scratch);
-                audit_attribution(
-                    &format!("range {start}..{end}"),
-                    baseline,
-                    &costs,
-                    &pairs,
-                    &result.stalls,
-                )
+                let attribution =
+                    Attribution::simulate(&self.ctx.config, &sub, &[], &[], &mut scratch);
+                audit_attribution(&format!("range {start}..{end}"), &attribution)
             }
         };
         let ledger = uarch_obs::ledger::global();
@@ -687,14 +671,12 @@ fn parse_explain_body(text: &str) -> Result<Option<(u64, u64)>, String> {
     }
     let doc = json::parse(trimmed).map_err(|e| format!("invalid JSON: {e}"))?;
     let bound = |field: &str| -> Result<Option<u64>, String> {
-        match doc.get(field) {
-            None => Ok(None),
-            Some(v) => v
-                .as_num()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .map(|n| Some(n as u64))
-                .ok_or_else(|| format!("\"{field}\" must be a non-negative integer")),
-        }
+        doc.get(field)
+            .map(|v| {
+                crate::ingest::num_u64(v)
+                    .ok_or_else(|| format!("\"{field}\" must be a non-negative integer"))
+            })
+            .transpose()
     };
     match (bound("start")?, bound("end")?) {
         (None, None) => Ok(None),

@@ -250,7 +250,7 @@ impl IngestSessions {
             window: window.window,
             start: window.start,
             end: window.end,
-            baseline: window.baseline,
+            baseline: window.attribution.baseline,
             lag: window.frontier_lag,
             eval_us: window.eval_us,
             costs: window.costs_by_name(),
@@ -262,13 +262,8 @@ impl IngestSessions {
         self.window_eval_us.record(window.eval_us);
         self.window_lag.set(window.frontier_lag as i64);
         if let Some(metrics) = &self.audit {
-            let audit = audit_attribution(
-                &format!("window {}", window.window),
-                window.baseline,
-                &window.costs,
-                &window.all_pairs,
-                &window.stalls,
-            );
+            let audit =
+                audit_attribution(&format!("window {}", window.window), &window.attribution);
             let record = audit.to_record(run);
             metrics.observe(&record);
             uarch_obs::ledger::global().append(&LedgerRecord::Audit(record));
@@ -389,25 +384,28 @@ fn parse_inst(item: &Value) -> Result<Inst, String> {
 
 /// Parse the `Reg` display form (`r5` / `f3`) back to a register.
 fn parse_reg(name: &str) -> Result<Reg, String> {
-    let (kind, index) = name.split_at(name.len().min(1));
+    let (make, index): (fn(u8) -> Reg, &str) = if let Some(index) = name.strip_prefix('r') {
+        (Reg::int, index)
+    } else if let Some(index) = name.strip_prefix('f') {
+        (Reg::fp, index)
+    } else {
+        return Err(format!("bad register {name:?} (want rN or fN)"));
+    };
     let n: u8 = index
         .parse()
         .map_err(|_| format!("bad register {name:?}"))?;
     if n >= 32 {
         return Err(format!("register index {n} out of range in {name:?}"));
     }
-    match kind {
-        "r" => Ok(Reg::int(n)),
-        "f" => Ok(Reg::fp(n)),
-        _ => Err(format!("bad register {name:?} (want rN or fN)")),
-    }
+    Ok(make(n))
 }
 
 /// Exact u64 from a JSON number: rejects negatives, fractions, and
-/// anything past f64's 2^53 integer precision.
-fn num_u64(v: &Value) -> Option<u64> {
+/// anything from 2^53 up, where an f64 no longer tells neighbouring
+/// integers apart (`9007199254740993` parses to 2^53).
+pub(crate) fn num_u64(v: &Value) -> Option<u64> {
     let n = v.as_num()?;
-    (n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0).then_some(n as u64)
+    (n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0).then_some(n as u64)
 }
 
 /// Serialize `inst` as one ingest-wire JSON object — the encoder half
@@ -559,22 +557,35 @@ mod tests {
     #[test]
     fn malformed_bodies_and_broken_paths_are_client_errors() {
         let table = IngestSessions::new(MachineConfig::table6());
-        assert!(table
-            .handle(b"not json")
-            .unwrap_err()
-            .contains("invalid JSON"));
-        assert!(table
-            .handle(br#"{"insts":[]}"#)
-            .unwrap_err()
-            .contains("session"));
-        assert!(table
-            .handle(br#"{"session":"x","window":0}"#)
-            .unwrap_err()
-            .contains("window"));
-        let err = table
-            .handle(br#"{"session":"x","insts":[{"pc":0,"op":"hcf","next_pc":4}]}"#)
-            .unwrap_err();
-        assert!(err.contains("insts[0]") && err.contains("hcf"), "{err}");
+        let rejects = |body: &str, needles: &[&str]| {
+            let err = table.handle(body.as_bytes()).unwrap_err();
+            assert!(needles.iter().all(|n| err.contains(n)), "{body}: {err}");
+        };
+        rejects("not json", &["invalid JSON"]);
+        rejects(r#"{"insts":[]}"#, &["session"]);
+        rejects(r#"{"session":"x","window":0}"#, &["window"]);
+        let inst = |fields: &str| format!(r#"{{"session":"x","insts":[{{{fields}}}]}}"#);
+        rejects(
+            &inst(r#""pc":0,"op":"hcf","next_pc":4"#),
+            &["insts[0]", "hcf"],
+        );
+        // A multi-byte first character is a bad register, not a panic.
+        rejects(
+            &inst(r#""pc":0,"op":"alu","dst":"é5","next_pc":4"#),
+            &["bad register"],
+        );
+        // Past 2^53 an f64 rounds: 2^53 + 1 would arrive as 2^53.
+        for pc in ["9007199254740992", "9007199254740993"] {
+            rejects(
+                &inst(&format!(r#""pc":{pc},"op":"alu","next_pc":4"#)),
+                &["\"pc\""],
+            );
+        }
+        let max = json::parse(r#"{"pc":9007199254740991,"op":"alu","next_pc":0}"#).unwrap();
+        assert_eq!(
+            parse_inst(&max).expect("2^53 - 1 is exact").pc,
+            (1 << 53) - 1
+        );
         let insts = sample_insts(8);
         table
             .handle(body("x", Some(64), &insts[..4], false).as_bytes())

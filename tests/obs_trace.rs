@@ -1,6 +1,8 @@
 //! End-to-end trace contract: running an analysis through the runner with
 //! the global tracer enabled yields a valid Chrome trace-event document
-//! whose spans are balanced per thread and properly nested.
+//! whose spans are balanced per thread and properly nested, with counter
+//! tracks, written to the file the environment names and foldable into
+//! flamegraph stacks.
 //!
 //! This lives in its own integration-test binary because [`install_global`]
 //! claims the process-wide tracer: the first instrumented call in the
@@ -100,4 +102,17 @@ fn runner_trace_is_valid_balanced_and_nested() {
     assert!(recorded
         .iter()
         .any(|e| e.name == "worker" || e.name == "job"));
+
+    // 4. The runner's counter sampler leaves counter tracks, and the
+    //    trace file the environment names parses and folds into
+    //    flamegraph stacks under the run span.
+    assert!(recorded.iter().any(|e| e.phase == 'C'), "no counter track");
+    let path = std::env::temp_dir().join(format!("icost-obs-trace-{}.json", std::process::id()));
+    std::env::set_var(uarch_obs::TRACE_FILE_ENV, &path);
+    assert_eq!(uarch_obs::flush_global().unwrap(), Some(path.clone()));
+    let text = std::fs::read_to_string(&path).expect("trace file readable");
+    let _ = std::fs::remove_file(&path);
+    uarch_obs::json::parse(&text).expect("trace file parses as JSON");
+    let folded = uarch_obs::Profile::from_chrome_json(&text).expect("trace folds");
+    assert!(folded.render().contains("runner.run"));
 }
