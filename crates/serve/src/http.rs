@@ -165,8 +165,11 @@ pub fn write_response_with(
         head.push_str(&format!("{name}: {value}\r\n"));
     }
     head.push_str("Connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    // One write: a second small one would wait (Nagle) for the client
+    // to acknowledge the first, costing each response a round trip.
+    let mut out = head.into_bytes();
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 

@@ -29,14 +29,24 @@
 //! `window` is honored only when the session is created (bounded to
 //! [`MAX_WINDOW`]); `insts` may be empty; `done: true` flushes the
 //! trailing partial window and closes the session.
+//!
+//! The body is decoded in one pass over [`json::Reader`]: each `insts`
+//! element is written straight into an [`Inst`] and no JSON tree is
+//! built. Unknown keys are validated and skipped; of duplicate keys
+//! the last wins. A body is judged only once it has fully validated,
+//! so the error a client sees follows one precedence: a syntax error
+//! anywhere, then `session`, `window` and `done`, then the
+//! [`MAX_BATCH_INSTS`] cap, then the first bad instruction.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use uarch_audit::{audit_attribution, AuditMetrics};
 use uarch_graph::{StreamingBuilder, DEFAULT_WINDOW};
-use uarch_obs::json::{self, Value};
+use uarch_obs::json::{self, Kind, Reader, Value};
 use uarch_obs::ledger::{LedgerRecord, WindowRecord};
 use uarch_obs::{lock_unpoisoned, Counter, Gauge, Histogram, Registry};
 use uarch_trace::{Inst, MachineConfig, OpClass, Reg};
@@ -272,7 +282,7 @@ impl IngestSessions {
 }
 
 /// One parsed ingest request body.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct IngestBatch {
     session: String,
     window: Option<usize>,
@@ -280,106 +290,274 @@ struct IngestBatch {
     done: bool,
 }
 
+/// Decode an ingest body in one pass over [`json::Reader`], writing
+/// each `insts` element straight into an [`Inst`] with no tree built.
+///
+/// Errors keep one precedence: a syntax error anywhere (`invalid
+/// JSON: …`), then `session`, `window` and `done`, then the `insts`
+/// cap, then the first bad instruction (`insts[i]: …`). So the fields
+/// are only read into slots during the pass (a later duplicate key
+/// overwrites an earlier one) and judged after the whole document has
+/// validated.
 fn parse_ingest_body(text: &str) -> Result<IngestBatch, String> {
-    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let session = doc
-        .get("session")
-        .and_then(Value::as_str)
-        .ok_or("missing \"session\" string")?;
-    if session.is_empty() || session.len() > 128 {
-        return Err("\"session\" must be 1..=128 characters".into());
+    let mut body = BodySlots::default();
+    let mut r = Reader::new(text);
+    let read = if r.kind().map_err(invalid_json)? == Kind::Obj {
+        r.object(|key, r| {
+            match &*key {
+                "session" => body.session = Some(Scalar::read(r)?),
+                "window" => body.window = Some(Scalar::read(r)?),
+                "done" => body.done = Some(Scalar::read(r)?),
+                "insts" => body.insts = Some(read_insts(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })
+    } else {
+        r.skip()
+    };
+    read.and_then(|()| r.finish()).map_err(invalid_json)?;
+    body.judge()
+}
+
+fn invalid_json(e: String) -> String {
+    format!("invalid JSON: {e}")
+}
+
+/// A scalar field's value as read; arrays and objects are validated
+/// and kept only as [`Scalar::Other`], since no scalar field takes one.
+enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Cow<'a, str>),
+    Other,
+}
+
+impl<'a> Scalar<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Scalar<'a>, String> {
+        Ok(match r.kind()? {
+            Kind::Null => {
+                r.null()?;
+                Scalar::Null
+            }
+            Kind::Bool => Scalar::Bool(r.bool()?),
+            Kind::Num => Scalar::Num(r.num()?),
+            Kind::Str => Scalar::Str(r.str()?),
+            Kind::Arr | Kind::Obj => {
+                r.skip()?;
+                Scalar::Other
+            }
+        })
     }
-    let window = match doc.get("window") {
-        None => None,
-        Some(v) => {
-            let w = num_u64(v).ok_or("\"window\" must be a non-negative integer")? as usize;
-            if w == 0 || w > MAX_WINDOW {
-                return Err(format!("\"window\" must be in 1..={MAX_WINDOW}"));
-            }
-            Some(w)
+
+    fn exact_u64(&self) -> Option<u64> {
+        match self {
+            Scalar::Num(n) => exact_u64(*n),
+            _ => None,
         }
-    };
-    let done = match doc.get("done") {
-        None => false,
-        Some(Value::Bool(b)) => *b,
-        Some(_) => return Err("\"done\" must be a boolean".into()),
-    };
-    let insts = match doc.get("insts") {
-        None => Vec::new(),
-        Some(v) => {
-            let items = v.as_arr().ok_or("\"insts\" must be an array")?;
-            if items.len() > MAX_BATCH_INSTS {
-                return Err(format!(
-                    "\"insts\" over the per-request cap ({MAX_BATCH_INSTS})"
-                ));
-            }
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| parse_inst(item).map_err(|e| format!("insts[{i}]: {e}")))
-                .collect::<Result<Vec<Inst>, String>>()?
+    }
+}
+
+/// The top-level fields of an ingest body.
+#[derive(Default)]
+struct BodySlots<'a> {
+    session: Option<Scalar<'a>>,
+    window: Option<Scalar<'a>>,
+    done: Option<Scalar<'a>>,
+    insts: Option<Result<Vec<Inst>, String>>,
+}
+
+impl BodySlots<'_> {
+    fn judge(self) -> Result<IngestBatch, String> {
+        let session = match self.session {
+            Some(Scalar::Str(s)) => s,
+            _ => return Err("missing \"session\" string".into()),
+        };
+        if session.is_empty() || session.len() > 128 {
+            return Err("\"session\" must be 1..=128 characters".into());
         }
-    };
-    Ok(IngestBatch {
-        session: session.to_string(),
-        window,
-        insts,
-        done,
+        let window = match self.window {
+            None => None,
+            Some(v) => {
+                let w = v
+                    .exact_u64()
+                    .ok_or("\"window\" must be a non-negative integer")?
+                    as usize;
+                if w == 0 || w > MAX_WINDOW {
+                    return Err(format!("\"window\" must be in 1..={MAX_WINDOW}"));
+                }
+                Some(w)
+            }
+        };
+        let done = match self.done {
+            None => false,
+            Some(Scalar::Bool(b)) => b,
+            Some(_) => return Err("\"done\" must be a boolean".into()),
+        };
+        let insts = self.insts.unwrap_or(Ok(Vec::new()))?;
+        Ok(IngestBatch {
+            session: session.into_owned(),
+            window,
+            insts,
+            done,
+        })
+    }
+}
+
+/// Read an `insts` value. The outer error is a syntax error; the
+/// inner one is the first check that fails: not an array, over the
+/// cap, then the first bad element. Past the cap or a bad element,
+/// elements are only validated.
+fn read_insts(r: &mut Reader<'_>) -> Result<Result<Vec<Inst>, String>, String> {
+    if r.kind()? != Kind::Arr {
+        r.skip()?;
+        return Ok(Err("\"insts\" must be an array".into()));
+    }
+    let mut insts = Vec::new();
+    let mut len = 0;
+    let mut first_bad = None;
+    r.array(|r| {
+        if first_bad.is_some() || len >= MAX_BATCH_INSTS {
+            r.skip()?;
+        } else {
+            match InstSlots::read(r)?.judge() {
+                Ok(inst) => insts.push(inst),
+                Err(e) => first_bad = Some(format!("insts[{len}]: {e}")),
+            }
+        }
+        len += 1;
+        Ok(())
+    })?;
+    Ok(if len > MAX_BATCH_INSTS {
+        Err(format!(
+            "\"insts\" over the per-request cap ({MAX_BATCH_INSTS})"
+        ))
+    } else {
+        first_bad.map_or(Ok(insts), Err)
     })
 }
 
-/// Decode one streamed instruction object (the shape
-/// `icost-obs watch --emit` and the CI smoke producer write).
-fn parse_inst(item: &Value) -> Result<Inst, String> {
-    let pc = item
-        .get("pc")
-        .and_then(num_u64)
-        .ok_or("missing \"pc\" integer")?;
-    let op = item
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or("missing \"op\" mnemonic")?;
-    let op = OpClass::from_mnemonic(op).ok_or_else(|| format!("unknown op mnemonic {op:?}"))?;
-    let next_pc = item
-        .get("next_pc")
-        .and_then(num_u64)
-        .ok_or("missing \"next_pc\" integer")?;
-    let dst = match item.get("dst") {
-        None | Some(Value::Null) => None,
-        Some(v) => {
-            let name = v.as_str().ok_or("\"dst\" must be a register string")?;
-            Some(parse_reg(name)?)
+/// The fields of one streamed instruction object (the shape
+/// [`inst_to_json`] writes).
+#[derive(Default)]
+struct InstSlots<'a> {
+    pc: Option<Scalar<'a>>,
+    op: Option<Scalar<'a>>,
+    next_pc: Option<Scalar<'a>>,
+    dst: Option<Scalar<'a>>,
+    srcs: Option<Result<[Option<Reg>; 2], String>>,
+    mem: Option<Scalar<'a>>,
+    taken: Option<Scalar<'a>>,
+}
+
+impl<'a> InstSlots<'a> {
+    /// Read one `insts` element; a non-object leaves every slot empty.
+    fn read(r: &mut Reader<'a>) -> Result<InstSlots<'a>, String> {
+        let mut f = InstSlots::default();
+        if r.kind()? != Kind::Obj {
+            r.skip()?;
+            return Ok(f);
         }
-    };
+        r.object(|key, r| {
+            let slot = match &*key {
+                "pc" => &mut f.pc,
+                "op" => &mut f.op,
+                "next_pc" => &mut f.next_pc,
+                "dst" => &mut f.dst,
+                "mem" => &mut f.mem,
+                "taken" => &mut f.taken,
+                "srcs" => {
+                    f.srcs = Some(read_srcs(r)?);
+                    return Ok(());
+                }
+                _ => return r.skip(),
+            };
+            *slot = Some(Scalar::read(r)?);
+            Ok(())
+        })?;
+        Ok(f)
+    }
+
+    /// The instruction, or the first field check that fails, in a
+    /// fixed field order.
+    fn judge(self) -> Result<Inst, String> {
+        let pc = self
+            .pc
+            .and_then(|v| v.exact_u64())
+            .ok_or("missing \"pc\" integer")?;
+        let op = match self.op {
+            Some(Scalar::Str(s)) => s,
+            _ => return Err("missing \"op\" mnemonic".into()),
+        };
+        let op =
+            OpClass::from_mnemonic(&op).ok_or_else(|| format!("unknown op mnemonic {:?}", &*op))?;
+        let next_pc = self
+            .next_pc
+            .and_then(|v| v.exact_u64())
+            .ok_or("missing \"next_pc\" integer")?;
+        let dst = match self.dst {
+            None | Some(Scalar::Null) => None,
+            Some(Scalar::Str(name)) => Some(parse_reg(&name)?),
+            Some(_) => return Err("\"dst\" must be a register string".into()),
+        };
+        let srcs = self.srcs.unwrap_or(Ok([None, None]))?;
+        let mem_addr = match self.mem {
+            None => 0,
+            Some(v) => v
+                .exact_u64()
+                .ok_or("\"mem\" must be a non-negative integer")?,
+        };
+        let taken = match self.taken {
+            None => op.is_branch() && !op.is_cond_branch(),
+            Some(Scalar::Bool(b)) => b,
+            Some(_) => return Err("\"taken\" must be a boolean".into()),
+        };
+        Ok(Inst {
+            pc,
+            op,
+            srcs,
+            dst,
+            mem_addr,
+            taken,
+            next_pc,
+        })
+    }
+}
+
+/// Read a `srcs` value. The outer error is a syntax error; the inner
+/// one is the first check that fails: not an array, more than two
+/// elements, then the first element that is not a register name.
+fn read_srcs(r: &mut Reader<'_>) -> Result<Result<[Option<Reg>; 2], String>, String> {
+    if r.kind()? != Kind::Arr {
+        r.skip()?;
+        return Ok(Err("\"srcs\" must be an array".into()));
+    }
+    let mut len = 0;
+    let mut names = [Scalar::Other, Scalar::Other];
+    r.array(|r| {
+        match names.get_mut(len) {
+            Some(name) => *name = Scalar::read(r)?,
+            None => r.skip()?,
+        }
+        len += 1;
+        Ok(())
+    })?;
+    if len > 2 {
+        return Ok(Err("\"srcs\" holds at most two registers".into()));
+    }
     let mut srcs = [None, None];
-    if let Some(v) = item.get("srcs") {
-        let names = v.as_arr().ok_or("\"srcs\" must be an array")?;
-        if names.len() > 2 {
-            return Err("\"srcs\" holds at most two registers".into());
-        }
-        for (i, name) in names.iter().enumerate() {
-            let name = name.as_str().ok_or("\"srcs\" entries must be strings")?;
-            srcs[i] = Some(parse_reg(name)?);
+    for (src, name) in srcs.iter_mut().zip(&names).take(len) {
+        let reg = match name {
+            Scalar::Str(name) => parse_reg(name),
+            _ => Err("\"srcs\" entries must be strings".into()),
+        };
+        match reg {
+            Ok(reg) => *src = Some(reg),
+            Err(e) => return Ok(Err(e)),
         }
     }
-    let mem_addr = match item.get("mem") {
-        None => 0,
-        Some(v) => num_u64(v).ok_or("\"mem\" must be a non-negative integer")?,
-    };
-    let taken = match item.get("taken") {
-        None => op.is_branch() && !op.is_cond_branch(),
-        Some(Value::Bool(b)) => *b,
-        Some(_) => return Err("\"taken\" must be a boolean".into()),
-    };
-    Ok(Inst {
-        pc,
-        op,
-        srcs,
-        dst,
-        mem_addr,
-        taken,
-        next_pc,
-    })
+    Ok(Ok(srcs))
 }
 
 /// Parse the `Reg` display form (`r5` / `f3`) back to a register.
@@ -400,47 +578,61 @@ fn parse_reg(name: &str) -> Result<Reg, String> {
     Ok(make(n))
 }
 
+/// [`exact_u64`] of a JSON number value.
+pub(crate) fn num_u64(v: &Value) -> Option<u64> {
+    v.as_num().and_then(exact_u64)
+}
+
 /// Exact u64 from a JSON number: rejects negatives, fractions, and
 /// anything from 2^53 up, where an f64 no longer tells neighbouring
 /// integers apart (`9007199254740993` parses to 2^53).
-pub(crate) fn num_u64(v: &Value) -> Option<u64> {
-    let n = v.as_num()?;
+fn exact_u64(n: f64) -> Option<u64> {
     (n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0).then_some(n as u64)
 }
 
+/// Length of the longest [`inst_to_json`] object: a load with 20-digit
+/// `pc`, `mem` and `next_pc`, an FP destination and two FP sources.
+const INST_JSON_MAX: usize = 142;
+
 /// Serialize `inst` as one ingest-wire JSON object — the encoder half
-/// of [`parse_inst`], used by the `watch --emit` producer and tests.
+/// of the `POST /ingest` body decoder, used by ingest producers and
+/// tests. It allocates once: [`INST_JSON_MAX`] covers the longest
+/// object.
 pub fn inst_to_json(inst: &Inst) -> String {
-    let mut out = format!(
-        "{{\"pc\":{},\"op\":{}",
+    let mut out = String::with_capacity(INST_JSON_MAX);
+    // Mnemonics and register names are bare identifiers: nothing to
+    // escape.
+    let _ = write!(
+        out,
+        "{{\"pc\":{},\"op\":\"{}\"",
         inst.pc,
-        json::quote(inst.op.mnemonic())
+        inst.op.mnemonic()
     );
     if let Some(dst) = inst.dst {
-        out.push_str(&format!(",\"dst\":{}", json::quote(&dst.to_string())));
+        let _ = write!(out, ",\"dst\":\"{dst}\"");
     }
-    let srcs: Vec<String> = inst
-        .srcs
-        .iter()
-        .flatten()
-        .map(|r| json::quote(&r.to_string()))
-        .collect();
-    if !srcs.is_empty() {
-        out.push_str(&format!(",\"srcs\":[{}]", srcs.join(",")));
+    for (i, src) in inst.srcs.iter().flatten().enumerate() {
+        let _ = write!(out, "{}\"{src}\"", if i == 0 { ",\"srcs\":[" } else { "," });
+    }
+    if inst.srcs.iter().any(Option::is_some) {
+        out.push(']');
     }
     if inst.op.is_mem() {
-        out.push_str(&format!(",\"mem\":{}", inst.mem_addr));
+        let _ = write!(out, ",\"mem\":{}", inst.mem_addr);
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ",\"taken\":{},\"next_pc\":{}}}",
         inst.taken, inst.next_pc
-    ));
+    );
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use uarch_trace::TraceBuilder;
 
     /// A short connected trace to stream through a session.
@@ -470,11 +662,35 @@ mod tests {
 
     #[test]
     fn instructions_roundtrip_through_the_wire_shape() {
-        for inst in sample_insts(40) {
-            let encoded = inst_to_json(&inst);
-            let doc = json::parse(&encoded).expect("encoder emits valid JSON");
-            assert_eq!(parse_inst(&doc).expect("decodes"), inst, "{encoded}");
+        let insts = sample_insts(40);
+        for inst in &insts {
+            let encoded = inst_to_json(inst);
+            json::parse(&encoded).expect("encoder emits valid JSON");
         }
+        let batch = parse_ingest_body(&body("rt", None, &insts, false)).expect("decodes");
+        assert_eq!(batch.insts, insts);
+        let widest = Inst {
+            pc: u64::MAX,
+            op: OpClass::Load,
+            srcs: [Some(Reg::fp(31)); 2],
+            dst: Some(Reg::fp(31)),
+            mem_addr: u64::MAX,
+            taken: false,
+            next_pc: u64::MAX,
+        };
+        assert_eq!(inst_to_json(&widest).len(), INST_JSON_MAX);
+        let mut st = *insts
+            .iter()
+            .find(|i| i.op == OpClass::Store)
+            .expect("a store");
+        st.srcs = [Some(Reg::int(1)), Some(Reg::fp(3))];
+        assert_eq!(
+            inst_to_json(&st),
+            format!(
+                r#"{{"pc":{},"op":"st","srcs":["r1","f3"],"mem":{},"taken":false,"next_pc":{}}}"#,
+                st.pc, st.mem_addr, st.next_pc
+            )
+        );
     }
 
     #[test]
@@ -564,6 +780,12 @@ mod tests {
         rejects("not json", &["invalid JSON"]);
         rejects(r#"{"insts":[]}"#, &["session"]);
         rejects(r#"{"session":"x","window":0}"#, &["window"]);
+        // The cap outranks the bad instructions under it.
+        let over_cap = vec!["{}"; MAX_BATCH_INSTS + 1].join(",");
+        rejects(
+            &format!(r#"{{"session":"x","insts":[{over_cap}]}}"#),
+            &["per-request cap"],
+        );
         let inst = |fields: &str| format!(r#"{{"session":"x","insts":[{{{fields}}}]}}"#);
         rejects(
             &inst(r#""pc":0,"op":"hcf","next_pc":4"#),
@@ -581,11 +803,9 @@ mod tests {
                 &["\"pc\""],
             );
         }
-        let max = json::parse(r#"{"pc":9007199254740991,"op":"alu","next_pc":0}"#).unwrap();
-        assert_eq!(
-            parse_inst(&max).expect("2^53 - 1 is exact").pc,
-            (1 << 53) - 1
-        );
+        let max = parse_ingest_body(&inst(r#""pc":9007199254740991,"op":"alu","next_pc":0"#))
+            .expect("2^53 - 1 is exact");
+        assert_eq!(max.insts[0].pc, (1 << 53) - 1);
         let insts = sample_insts(8);
         table
             .handle(body("x", Some(64), &insts[..4], false).as_bytes())
@@ -599,5 +819,328 @@ mod tests {
             .handle(body("x", None, &insts[4..], true).as_bytes())
             .expect("resume");
         assert_eq!(resumed.ingested, 8);
+    }
+
+    /// The tree path the one-pass decoder replaced, kept as the
+    /// reference it is checked against: parse a [`Value`] tree, then
+    /// read the fields out of it.
+    fn reference_body(text: &str) -> Result<IngestBatch, String> {
+        let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+        let session = doc
+            .get("session")
+            .and_then(Value::as_str)
+            .ok_or("missing \"session\" string")?;
+        if session.is_empty() || session.len() > 128 {
+            return Err("\"session\" must be 1..=128 characters".into());
+        }
+        let window = match doc.get("window") {
+            None => None,
+            Some(v) => {
+                let w = num_u64(v).ok_or("\"window\" must be a non-negative integer")? as usize;
+                if w == 0 || w > MAX_WINDOW {
+                    return Err(format!("\"window\" must be in 1..={MAX_WINDOW}"));
+                }
+                Some(w)
+            }
+        };
+        let done = match doc.get("done") {
+            None => false,
+            Some(Value::Bool(b)) => *b,
+            Some(_) => return Err("\"done\" must be a boolean".into()),
+        };
+        let insts = match doc.get("insts") {
+            None => Vec::new(),
+            Some(v) => {
+                let items = v.as_arr().ok_or("\"insts\" must be an array")?;
+                if items.len() > MAX_BATCH_INSTS {
+                    return Err(format!(
+                        "\"insts\" over the per-request cap ({MAX_BATCH_INSTS})"
+                    ));
+                }
+                items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, item)| parse_inst(item).map_err(|e| format!("insts[{i}]: {e}")))
+                    .collect::<Result<Vec<Inst>, String>>()?
+            }
+        };
+        Ok(IngestBatch {
+            session: session.to_string(),
+            window,
+            insts,
+            done,
+        })
+    }
+
+    fn parse_inst(item: &Value) -> Result<Inst, String> {
+        let pc = item
+            .get("pc")
+            .and_then(num_u64)
+            .ok_or("missing \"pc\" integer")?;
+        let op = item
+            .get("op")
+            .and_then(Value::as_str)
+            .ok_or("missing \"op\" mnemonic")?;
+        let op = OpClass::from_mnemonic(op).ok_or_else(|| format!("unknown op mnemonic {op:?}"))?;
+        let next_pc = item
+            .get("next_pc")
+            .and_then(num_u64)
+            .ok_or("missing \"next_pc\" integer")?;
+        let dst = match item.get("dst") {
+            None | Some(Value::Null) => None,
+            Some(v) => {
+                let name = v.as_str().ok_or("\"dst\" must be a register string")?;
+                Some(parse_reg(name)?)
+            }
+        };
+        let mut srcs = [None, None];
+        if let Some(v) = item.get("srcs") {
+            let names = v.as_arr().ok_or("\"srcs\" must be an array")?;
+            if names.len() > 2 {
+                return Err("\"srcs\" holds at most two registers".into());
+            }
+            for (i, name) in names.iter().enumerate() {
+                let name = name.as_str().ok_or("\"srcs\" entries must be strings")?;
+                srcs[i] = Some(parse_reg(name)?);
+            }
+        }
+        let mem_addr = match item.get("mem") {
+            None => 0,
+            Some(v) => num_u64(v).ok_or("\"mem\" must be a non-negative integer")?,
+        };
+        let taken = match item.get("taken") {
+            None => op.is_branch() && !op.is_cond_branch(),
+            Some(Value::Bool(b)) => *b,
+            Some(_) => return Err("\"taken\" must be a boolean".into()),
+        };
+        Ok(Inst {
+            pc,
+            op,
+            srcs,
+            dst,
+            mem_addr,
+            taken,
+            next_pc,
+        })
+    }
+
+    fn arb_inst() -> impl Strategy<Value = Inst> {
+        let reg = || {
+            (any::<bool>(), 0u8..32).prop_map(|(fp, n)| if fp { Reg::fp(n) } else { Reg::int(n) })
+        };
+        // Addresses mostly small, sometimes at or past 2^53.
+        let addr = || {
+            (0u64..8, any::<u64>()).prop_map(|(k, x)| match k {
+                0 => x,
+                1 => (1 << 53) - 2 + x % 4,
+                _ => x % 100_000,
+            })
+        };
+        (
+            0..OpClass::ALL.len(),
+            addr(),
+            addr(),
+            addr(),
+            prop::option::of(reg()),
+            prop::option::of(reg()),
+            prop::option::of(reg()),
+            any::<bool>(),
+        )
+            .prop_map(|(op, pc, next_pc, mem_addr, dst, src0, src1, taken)| {
+                let op = OpClass::ALL[op];
+                Inst {
+                    pc,
+                    op,
+                    // The wire lists sources in order, so a second
+                    // source implies a first.
+                    srcs: if src0.is_some() {
+                        [src0, src1]
+                    } else {
+                        [src1, None]
+                    },
+                    dst,
+                    mem_addr: if op.is_mem() { mem_addr } else { 0 },
+                    taken,
+                    next_pc,
+                }
+            })
+    }
+
+    /// Values that break a field's type or range, for the decoder and
+    /// the reference to reject alike.
+    const BAD_VALUES: [&str; 14] = [
+        "-1",
+        "1.5",
+        "1e300",
+        "9007199254740993",
+        "0",
+        "\"x\"",
+        "\"\"",
+        "null",
+        "true",
+        "[]",
+        "{}",
+        "[\"r1\",\"r2\",\"r3\"]",
+        "[\"r1\",5]",
+        "\"\\u00e95\"",
+    ];
+
+    /// Values an unknown key may hold.
+    const NESTED: [&str; 4] = [
+        r#"{"a": [1, {"b": null}], "c": "\u00e9"}"#,
+        "[[], {}, [true, false]]",
+        "\"l\\u0064\"",
+        "-1.5e3",
+    ];
+
+    /// The members of a flat JSON object as `(key, value text)`.
+    fn members(object: &str) -> Vec<(String, String)> {
+        let doc = json::parse(object).expect("valid object");
+        let map = doc.as_obj().expect("an object");
+        map.iter().map(|(k, v)| (k.clone(), v.render())).collect()
+    }
+
+    fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
+        from[rng.below(from.len() as u64) as usize]
+    }
+
+    /// Escape one character of a quoted string as `\u00XX` (`"pc"` →
+    /// `"\u0070c"`).
+    fn escape_one(quoted: &str, rng: &mut TestRng) -> String {
+        let inner = &quoted[1..quoted.len() - 1];
+        if inner.is_empty() || !inner.is_ascii() || inner.contains('\\') {
+            return quoted.to_string();
+        }
+        let i = rng.below(inner.len() as u64) as usize;
+        format!(
+            "\"{}\\u{:04x}{}\"",
+            &inner[..i],
+            inner.as_bytes()[i],
+            &inner[i + 1..]
+        )
+    }
+
+    /// Render `members` as an object, varied by `rng` without changing
+    /// what it decodes to: Python `json.dumps` spacing, shuffled keys,
+    /// `\u` escapes in keys and string values, unknown keys holding
+    /// nested values, and an earlier duplicate that the real key
+    /// overrides.
+    fn vary(mut members: Vec<(String, String)>, rng: &mut TestRng) -> String {
+        for i in (1..members.len()).rev() {
+            members.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut fields: Vec<(String, String)> = Vec::new();
+        for (key, value) in members {
+            let mut key = json::quote(&key);
+            let mut value = value;
+            if rng.below(4) == 0 {
+                key = escape_one(&key, rng);
+            }
+            if value.starts_with('"') && rng.below(4) == 0 {
+                value = escape_one(&value, rng);
+            }
+            if rng.below(5) == 0 {
+                fields.push((key.clone(), pick(rng, &BAD_VALUES).to_string()));
+            }
+            if rng.below(5) == 0 {
+                let unknown = format!("\"x{}\"", rng.below(1000));
+                fields.push((unknown, pick(rng, &NESTED).to_string()));
+            }
+            fields.push((key, value));
+        }
+        let (comma, colon) = match rng.below(3) {
+            0 => (",", ":"),
+            1 => (", ", ": "),
+            _ => ("\n ,\t", " :\r\n"),
+        };
+        let fields: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("{k}{colon}{v}"))
+            .collect();
+        format!("{{{}}}", fields.join(comma))
+    }
+
+    /// A varied body for `insts`, and the batch it must decode to.
+    /// With `spoil`, one or two fields anywhere in the body hold a
+    /// wrong value in their last occurrence: alone, each shows one
+    /// check; together, they show which check comes first.
+    fn varied_body(insts: &[Inst], spoil: bool, rng: &mut TestRng) -> (String, IngestBatch) {
+        let window = 1 + rng.below(MAX_WINDOW as u64) as usize;
+        let done = rng.below(2) == 0;
+        let mut objects: Vec<Vec<(String, String)>> =
+            insts.iter().map(|i| members(&inst_to_json(i))).collect();
+        // An empty `insts` value stands for the array of `objects`.
+        let mut top = vec![
+            ("session".to_string(), "\"sess\"".to_string()),
+            ("window".to_string(), window.to_string()),
+            ("insts".to_string(), String::new()),
+            ("done".to_string(), done.to_string()),
+        ];
+        if spoil {
+            let mut values: Vec<&mut String> = top
+                .iter_mut()
+                .chain(objects.iter_mut().flatten())
+                .map(|(_, v)| v)
+                .collect();
+            for _ in 0..1 + rng.below(2) {
+                let i = rng.below(values.len() as u64) as usize;
+                *values[i] = pick(rng, &BAD_VALUES).to_string();
+            }
+        }
+        if top[2].1.is_empty() {
+            let objects: Vec<String> = objects.into_iter().map(|o| vary(o, rng)).collect();
+            let sep = if rng.below(2) == 0 { "," } else { ", " };
+            top[2].1 = format!("[{}]", objects.join(sep));
+        }
+        let batch = IngestBatch {
+            session: "sess".into(),
+            window: Some(window),
+            insts: insts.to_vec(),
+            done,
+        };
+        (vary(top, rng), batch)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn one_pass_decoder_equals_the_tree_reference(
+            insts in prop::collection::vec(arb_inst(), 1..6),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::from_seed(seed);
+            let (text, batch) = varied_body(&insts, false, &mut rng);
+            let decoded = parse_ingest_body(&text);
+            prop_assert_eq!(&decoded, &reference_body(&text), "{}", text);
+            // Addresses at or past 2^53 are rejected; all else decodes
+            // to the instructions encoded.
+            let exact = insts.iter().all(|i| {
+                [i.pc, i.next_pc, i.mem_addr].iter().all(|&a| a < 1 << 53)
+            });
+            if exact {
+                prop_assert_eq!(&decoded, &Ok(batch), "{}\n{:?}", text, decoded);
+            }
+
+            for _ in 0..32 {
+                let (text, _) = varied_body(&insts, true, &mut rng);
+                prop_assert_eq!(parse_ingest_body(&text), reference_body(&text), "{}", text);
+            }
+
+            // Malformed: every truncation and some single-byte
+            // substitutions of a small body.
+            let (small, _) = varied_body(&insts[..1], false, &mut rng);
+            for end in 0..small.len() {
+                let cut = &small[..end];
+                prop_assert_eq!(parse_ingest_body(cut), reference_body(cut), "{}", cut);
+            }
+            for _ in 0..64 {
+                let mut bytes = small.clone().into_bytes();
+                let at = rng.below(bytes.len() as u64) as usize;
+                bytes[at] = pick(&mut rng, &["{", "}", "[", "]", "\"", ":", ",", "0", "-", ".", "e", "x", "\\", " ", "\u{1}"]).as_bytes()[0];
+                let text = String::from_utf8(bytes).expect("bodies are ASCII");
+                prop_assert_eq!(parse_ingest_body(&text), reference_body(&text), "{}", text);
+            }
+        }
     }
 }

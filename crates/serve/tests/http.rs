@@ -111,6 +111,44 @@ fn endpoints_serve_health_metrics_and_errors() {
     server.shutdown();
 }
 
+/// A body nested far past the JSON reader's depth bound is a client
+/// error on every endpoint that parses JSON, not a stack overflow that
+/// aborts the process, and the server answers the next query as before.
+#[test]
+fn deeply_nested_bodies_are_client_errors() {
+    let server = Server::start(test_host(), "127.0.0.1:0", 2).expect("start");
+    let addr = server.addr();
+    let answers = |body: &str| {
+        let doc = uarch_obs::json::parse(body).expect("response is JSON");
+        format!("{:?}", doc.get("answers").expect("answers"))
+    };
+    let query = r#"{"queries":[{"cost":"dmiss"},{"icost":"dmiss+win"}]}"#;
+    let (status, before) = request(addr, "POST", "/query", query);
+    assert_eq!(status, 200, "{before}");
+
+    let deep = 100_000;
+    for (path, body) in [
+        ("/query", "[".repeat(deep)),
+        (
+            "/ingest",
+            format!(r#"{{"session":"deep","insts":{}"#, "[".repeat(deep)),
+        ),
+        ("/explain", r#"{"start":"#.repeat(deep)),
+    ] {
+        let (status, err) = request(addr, "POST", path, &body);
+        assert_eq!(status, 400, "{path}: {err}");
+        assert!(
+            err.contains("invalid JSON: nesting deeper than"),
+            "{path}: {err}"
+        );
+    }
+
+    let (status, after) = request(addr, "POST", "/query", query);
+    assert_eq!(status, 200, "{after}");
+    assert_eq!(answers(&after), answers(&before));
+    server.shutdown();
+}
+
 /// Long-lived `/events` streams must not occupy accept-pool workers:
 /// with a single-worker pool and more SSE clients than workers, plain
 /// endpoints must still answer (before the fix, the streams pinned the
