@@ -62,8 +62,13 @@ fn bit_identical(a: &SimResult, b: &SimResult) -> bool {
     a.cycles == b.cycles && a.counts == b.counts && a.stalls == b.stalls && a.records == b.records
 }
 
-/// Time both engines on one workload, gating bit-identity first.
-/// Returns (ticking, events) best-of wall times.
+/// Timed runs of each engine mode in [`race`].
+const RACE_REPS: usize = 15;
+
+/// Time both engines on one workload, gating bit-identity first. The
+/// modes alternate, and the one that goes first switches every round,
+/// so a burst of load on a shared host lands on both. Returns the
+/// (ticking, events) medians of [`RACE_REPS`] runs each.
 fn race(
     shape: &mut Shape,
     sim: &Simulator,
@@ -81,12 +86,24 @@ fn race(
         &format!("{what}: event engine bit-identical to ticking engine"),
         bit_identical(&ticking, &events),
     );
-    let t_tick = best_of(5, || {
-        run(EngineMode::Ticking);
-    });
-    let t_ev = best_of(5, || {
-        run(EngineMode::Events);
-    });
+    let (mut ticks, mut evs) = (Vec::new(), Vec::new());
+    for round in 0..RACE_REPS {
+        let order = if round % 2 == 0 {
+            [EngineMode::Ticking, EngineMode::Events]
+        } else {
+            [EngineMode::Events, EngineMode::Ticking]
+        };
+        for mode in order {
+            let t0 = Instant::now();
+            run(mode);
+            let wall = t0.elapsed();
+            match mode {
+                EngineMode::Ticking => ticks.push(wall),
+                EngineMode::Events => evs.push(wall),
+            }
+        }
+    }
+    let (t_tick, t_ev) = (median(ticks), median(evs));
     println!(
         "{what:<28} ticking {t_tick:>8.2?}  events {t_ev:>8.2?}  ({:.2}x, skipped {}/{} cycles)",
         t_tick.as_secs_f64() / t_ev.as_secs_f64().max(1e-9),

@@ -395,26 +395,27 @@ impl<'a> Oracle<'a> {
                 warm_data,
                 warm_code,
                 ..
-            } => parallel_map(jobs, self.threads, |&set| {
-                let tracer = global();
-                let _sp = if tracer.is_enabled() {
-                    tracer.span_with("runner", "sim", vec![("set", set.to_string())])
-                } else {
-                    tracer.span("runner", "sim")
-                };
-                let start = Instant::now();
-                let r = Simulator::new(config).run_warmed(
-                    trace,
-                    Idealization::from(set),
-                    warm_data,
-                    warm_code,
-                );
-                Eval {
-                    cycles: r.cycles,
-                    wall: start.elapsed(),
-                    sim: Some((r.stalls, r.engine)),
-                }
-            }),
+            } => {
+                // Warming does not depend on the idealization: warm once
+                // for the wave, and every job runs from a copy.
+                let sim = Simulator::new(config);
+                let warm = sim.warm(warm_data, warm_code);
+                parallel_map(jobs, self.threads, |&set| {
+                    let tracer = global();
+                    let _sp = if tracer.is_enabled() {
+                        tracer.span_with("runner", "sim", vec![("set", set.to_string())])
+                    } else {
+                        tracer.span("runner", "sim")
+                    };
+                    let start = Instant::now();
+                    let r = sim.run_from(trace, Idealization::from(set), &warm);
+                    Eval {
+                        cycles: r.cycles,
+                        wall: start.elapsed(),
+                        sim: Some((r.stalls, r.engine)),
+                    }
+                })
+            }
             Backend::Graph { graph, .. } => {
                 let lanes: Vec<EventSet> = jobs.iter().copied().filter(|s| !s.is_empty()).collect();
                 let groups: Vec<&[EventSet]> = lanes.chunks(MAX_LANES).collect();

@@ -24,9 +24,25 @@
 //!   stall delta times the span length) and jumps `t` straight to the
 //!   event. Results are bit-identical to ticking by construction; only
 //!   [`SimResult::engine`] telemetry differs.
+//!
+//! Per-run and per-instruction costs are kept flat:
+//!
+//! - **Warm state.** [`Simulator::warm`] touches the warm address sets
+//!   once and returns a [`WarmState`]; [`Simulator::run_from`] starts a
+//!   run from a copy of it. Warming does not depend on the idealization,
+//!   so every set of a breakdown shares one warm-up.
+//! - **Wakeup wheel.** Pending operand wakeups live in cycle buckets
+//!   (cycle mod a power of two sized from the configuration's longest
+//!   latency), threaded through a per-window-slot next array, with an
+//!   occupancy bitmap whose first set bit after `t` is the next wakeup.
+//! - **Ready ring.** Ready instructions are bits in a ring over window
+//!   slots; oldest-first issue order is bit order from `next_commit`'s
+//!   slot.
+//! - **Records at fetch.** Fetch runs in program order, so each
+//!   [`ExecRecord`] is pushed when its instruction is fetched.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::branch::BranchPredictor;
@@ -38,7 +54,8 @@ use uarch_trace::{FuClass, Inst, MachineConfig, OpClass, Reg, Trace};
 /// A very large width standing in for "infinite bandwidth" (paper Table 1).
 const INFINITE: usize = 1 << 24;
 
-/// List terminator for the wakeup-edge arena ([`Engine::waiter_head`]).
+/// List terminator for the wakeup-edge arena ([`Engine::waiter_head`])
+/// and the wakeup wheel's bucket lists ([`Engine::wheel_head`]).
 const EDGE_NONE: u32 = u32::MAX;
 
 /// FxHash-style multiply-rotate hasher for the outstanding-miss map.
@@ -75,6 +92,14 @@ pub enum EngineMode {
     Events,
 }
 
+/// A memory system warmed for one simulation context: the caches and
+/// TLBs after [`Simulator::warm`]. Runs start from a copy of it.
+#[derive(Debug, Clone)]
+pub struct WarmState {
+    config: MachineConfig,
+    mem: MemSystem,
+}
+
 /// The simulator: construct once per machine configuration, run per trace.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
@@ -102,14 +127,48 @@ impl<'a> Simulator<'a> {
     /// [`Simulator::run`] under an explicit run loop (differential
     /// testing: run both modes, assert bit-identical results).
     pub fn run_with_mode(&self, trace: &Trace, ideal: Idealization, mode: EngineMode) -> SimResult {
-        Engine::new(self.config, trace, ideal).run(mode)
+        Engine::new(self.config, trace, ideal, MemSystem::new(self.config)).run(mode)
     }
 
-    /// Run with pre-warmed caches and TLBs: every address in `warm_data`
-    /// is touched on the data side and every address in `warm_code` on the
-    /// instruction side before timing starts. This models measuring a
-    /// steady-state window of a long-running program (the paper skips
-    /// eight billion instructions before its measurement window).
+    /// Warm a fresh memory system: every address in `warm_data` is
+    /// touched on the data side, then every address in `warm_code` on
+    /// the instruction side. Warming does not depend on the
+    /// idealization, so one [`WarmState`] serves every run of a context
+    /// ([`Simulator::run_from`]).
+    pub fn warm(&self, warm_data: &[u64], warm_code: &[u64]) -> WarmState {
+        let mut mem = MemSystem::new(self.config);
+        for &a in warm_data {
+            mem.data_access(a);
+        }
+        for &a in warm_code {
+            mem.inst_access(a);
+        }
+        WarmState {
+            config: self.config.clone(),
+            mem,
+        }
+    }
+
+    /// Run `trace` under `ideal`, starting from a copy of `warm`. The
+    /// state itself is never modified, so it can be shared by any
+    /// number of runs, on any number of threads.
+    ///
+    /// # Panics
+    /// Panics if `warm` was made for a different configuration.
+    pub fn run_from(&self, trace: &Trace, ideal: Idealization, warm: &WarmState) -> SimResult {
+        assert!(
+            warm.config == *self.config,
+            "warm state belongs to a different machine configuration"
+        );
+        Engine::new(self.config, trace, ideal, warm.mem.clone()).run(EngineMode::Events)
+    }
+
+    /// Run with pre-warmed caches and TLBs ([`Simulator::warm`], then
+    /// the run). This models measuring a steady-state window of a
+    /// long-running program (the paper skips eight billion instructions
+    /// before its measurement window). Callers that run one context
+    /// under several idealizations should warm once and use
+    /// [`Simulator::run_from`].
     pub fn run_warmed(
         &self,
         trace: &Trace,
@@ -129,14 +188,9 @@ impl<'a> Simulator<'a> {
         warm_code: &[u64],
         mode: EngineMode,
     ) -> SimResult {
-        let mut engine = Engine::new(self.config, trace, ideal);
-        for &a in warm_data {
-            engine.mem.data_access(a);
-        }
-        for &a in warm_code {
-            engine.mem.inst_access(a);
-        }
-        engine.run(mode)
+        // The state is used once, so it moves into the engine uncopied.
+        let warm = self.warm(warm_data, warm_code);
+        Engine::new(self.config, trace, ideal, warm.mem).run(mode)
     }
 
     /// Convenience: run and return only the cycle count.
@@ -169,6 +223,79 @@ fn fu_class(op: OpClass) -> FuClass {
         OpClass::FpAlu => FuClass::FpAlu,
         OpClass::FpMult | OpClass::FpDiv => FuClass::FpMultDiv,
         OpClass::Load | OpClass::Store => FuClass::LdSt,
+    }
+}
+
+/// Buckets in the wakeup wheel: a power of two above the furthest
+/// ahead of "now" any wakeup can be scheduled. A wakeup is scheduled
+/// at dispatch (`t + dispatch_to_ready`, or an issued producer's
+/// availability) or when a producer issues (its latency plus wakeup
+/// bubble). The longest latency is a load missing to memory through
+/// both TLB penalties (a merged load adds its own TLB miss to the
+/// original fill), or the longest ALU op; the sum below bounds either
+/// case with room to spare.
+fn wheel_horizon(cfg: &MachineConfig) -> usize {
+    let load = cfg.l1d.latency + cfg.l2.latency + cfg.mem_latency + 2 * cfg.tlb_miss_penalty;
+    let alu = [
+        cfg.fu_int_alu.latency,
+        cfg.fu_int_mult.latency,
+        cfg.fu_fp_alu.latency,
+        cfg.fu_fp_mult.latency,
+        cfg.fp_div_latency,
+    ]
+    .into_iter()
+    .max()
+    .unwrap_or(0);
+    let furthest = load.max(alu) + cfg.issue_wakeup + cfg.dispatch_to_ready;
+    (furthest as usize + 1).next_power_of_two().max(64)
+}
+
+/// The set bits of a ring bitmap (a power-of-two number of bits), in
+/// ring order starting at bit `start` and wrapping once, as offsets
+/// from `start`.
+struct RingOffsets<'w> {
+    words: &'w [u64],
+    start: usize,
+    /// Words moved past the start word (the start word is visited
+    /// again, for its bits below `start`, at `step == words.len()`).
+    step: usize,
+    word: usize,
+    /// Unvisited bits of `words[word]`.
+    bits: u64,
+}
+
+impl<'w> RingOffsets<'w> {
+    fn new(words: &'w [u64], start: usize) -> RingOffsets<'w> {
+        let word = start / 64;
+        RingOffsets {
+            words,
+            start,
+            step: 0,
+            word,
+            bits: words[word] & (!0u64 << (start % 64)),
+        }
+    }
+}
+
+impl Iterator for RingOffsets<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let len = self.words.len();
+        while self.bits == 0 {
+            if self.step == len {
+                return None;
+            }
+            self.step += 1;
+            self.word = (self.start / 64 + self.step) & (len - 1);
+            self.bits = self.words[self.word];
+            if self.step == len {
+                self.bits &= (1u64 << (self.start % 64)) - 1;
+            }
+        }
+        let bit = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(bit.wrapping_sub(self.start) & (len * 64 - 1))
     }
 }
 
@@ -229,15 +356,29 @@ struct Engine<'a> {
     /// allocations up front instead of a `Vec` push per dependence edge.
     waiter_head: Vec<u32>,
     waiter_next: Vec<u32>,
-    ready_events: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Ready-to-issue instructions, kept sorted (oldest first). A plain
-    /// sorted `Vec` beats a `BTreeSet` here: the queue is small, inserts
-    /// arrive nearly in order, and the issue loop wants slice iteration.
-    ready_q: Vec<u32>,
-    /// Scratch for the oldest-first ready-queue scan in
-    /// [`Engine::issue_fixpoint`] — reused across passes and cycles so
-    /// the hot loop never allocates.
-    issue_scratch: Vec<u32>,
+    /// The wakeup wheel: pending operand-ready wakeups bucketed by
+    /// cycle. Bucket `c & (len - 1)` heads a list of the instructions
+    /// that become ready at cycle `c`, threaded through `wheel_next`.
+    /// Every pending wakeup lies within [`wheel_horizon`] cycles of
+    /// now, so a bucket never holds two different cycles.
+    wheel_head: Vec<u32>,
+    /// Next link of each waiting instruction, indexed by window slot.
+    wheel_next: Vec<u32>,
+    /// Occupancy bitmap of `wheel_head`: bit `b` is set iff bucket `b`
+    /// is non-empty, so the next wakeup is a find-first-set.
+    wheel_bits: Vec<u64>,
+    /// Ready-to-issue instructions as a bit ring over window slots
+    /// (slot = index & `ring_mask`). Everything ready is in flight,
+    /// within one window of `next_commit`, so oldest-first is bit order
+    /// starting from `next_commit`'s slot.
+    ready_bits: Vec<u64>,
+    ready_count: usize,
+    /// Window slots minus one; the slot count is the effective ROB size
+    /// rounded up to a power of two (at least one 64-bit word).
+    ring_mask: usize,
+    /// Snapshot of `ready_bits` for one [`Engine::issue_fixpoint`]
+    /// pass, reused so the hot loop never allocates.
+    issue_scratch: Vec<u64>,
 
     // Execute state.
     /// Per-class functional-unit free times, indexed by
@@ -261,9 +402,21 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(cfg: &'a MachineConfig, trace: &'a Trace, ideal: Idealization) -> Engine<'a> {
+    fn new(
+        cfg: &'a MachineConfig,
+        trace: &'a Trace,
+        ideal: Idealization,
+        mem: MemSystem,
+    ) -> Engine<'a> {
         let n = trace.len();
         let inf = ideal.infinite_bw();
+        let rob_size = if ideal.huge_window() {
+            cfg.rob_size * cfg.ideal_window_factor
+        } else {
+            cfg.rob_size
+        };
+        let slots = rob_size.next_power_of_two().max(64);
+        let buckets = wheel_horizon(cfg);
         let fu_units: [Vec<u64>; FuClass::ALL.len()] = if inf {
             Default::default()
         } else {
@@ -279,17 +432,15 @@ impl<'a> Engine<'a> {
             cfg,
             trace,
             ideal,
-            mem: MemSystem::new(cfg),
+            mem,
             predictor: BranchPredictor::new(&cfg.predictor),
-            records: vec![ExecRecord::default(); n],
+            // Fetch runs in program order: each record is pushed when its
+            // instruction is fetched.
+            records: Vec::with_capacity(n),
             sched: vec![Sched::default(); n],
             counts: EventCounts::default(),
             stalls: PipelineStalls::default(),
-            rob_size: if ideal.huge_window() {
-                cfg.rob_size * cfg.ideal_window_factor
-            } else {
-                cfg.rob_size
-            },
+            rob_size,
             fetch_width: if inf { INFINITE } else { cfg.fetch_width },
             dispatch_width: if inf { INFINITE } else { cfg.dispatch_width },
             issue_width: if inf { INFINITE } else { cfg.issue_width },
@@ -315,9 +466,13 @@ impl<'a> Engine<'a> {
             reg_map: [None; Reg::COUNT],
             waiter_head: vec![EDGE_NONE; n],
             waiter_next: vec![EDGE_NONE; n * 2],
-            ready_events: BinaryHeap::new(),
-            ready_q: Vec::new(),
-            issue_scratch: Vec::new(),
+            wheel_head: vec![EDGE_NONE; buckets],
+            wheel_next: vec![EDGE_NONE; slots],
+            wheel_bits: vec![0; buckets / 64],
+            ready_bits: vec![0; slots / 64],
+            ready_count: 0,
+            ring_mask: slots - 1,
+            issue_scratch: Vec::with_capacity(slots / 64),
             fu_units,
             fu_infinite: inf,
             outstanding: HashMap::default(),
@@ -427,34 +582,9 @@ impl<'a> Engine<'a> {
         if n == 0 {
             return SimResult::default();
         }
-        let skip_idle = mode == EngineMode::Events;
         let mut t: u64 = 0;
         while self.next_commit < n {
-            let before = self.stalls;
-            let mut progress = self.deliver_events(t);
-            progress |= self.commit(t);
-            progress |= self.issue_fixpoint(t);
-            progress |= self.dispatch(t);
-            progress |= self.fetch(t);
-            self.stats.ticked_cycles += 1;
-            if skip_idle && !progress && self.next_commit < n {
-                if let Some(next) = self.next_event(t) {
-                    debug_assert!(next > t, "next event {next} not after {t}");
-                    let skip = next - (t + 1);
-                    if skip > 0 {
-                        let delta = self.stalls.delta_since(&before);
-                        self.stalls.add_scaled(&delta, skip);
-                        self.stats.skipped_cycles += skip;
-                        self.stats.idle_spans += 1;
-                        t = next;
-                        continue;
-                    }
-                }
-                // No future event: the machine is wedged. Fall through to
-                // single-cycle ticking so behavior (and the convergence
-                // assert below) matches the reference.
-            }
-            t += 1;
+            t = self.step(t, mode);
             debug_assert!(
                 t < 1_000 * (n as u64 + 16) + 1_000_000,
                 "simulation did not converge (deadlock?)"
@@ -463,12 +593,40 @@ impl<'a> Engine<'a> {
         self.finish()
     }
 
+    /// Run cycle `t` and return the next cycle to run.
+    fn step(&mut self, t: u64, mode: EngineMode) -> u64 {
+        let before = self.stalls;
+        let mut progress = self.deliver_events(t);
+        progress |= self.commit(t);
+        progress |= self.issue_fixpoint(t);
+        progress |= self.dispatch(t);
+        progress |= self.fetch(t);
+        self.stats.ticked_cycles += 1;
+        if mode == EngineMode::Events && !progress && self.next_commit < self.trace.len() {
+            if let Some(next) = self.next_event(t) {
+                debug_assert!(next > t, "next event {next} not after {t}");
+                let skip = next - (t + 1);
+                if skip > 0 {
+                    let delta = self.stalls.delta_since(&before);
+                    self.stalls.add_scaled(&delta, skip);
+                    self.stats.skipped_cycles += skip;
+                    self.stats.idle_spans += 1;
+                    return next;
+                }
+            }
+            // No future event: the machine is wedged. Fall through to
+            // single-cycle ticking so behavior (and the convergence
+            // assert in the loop) matches the reference.
+        }
+        t + 1
+    }
+
     /// The earliest cycle after `t` at which any stage could behave
     /// differently than it did at `t`, given that cycle `t` made no
     /// progress. Every source of forward progress or stall-regime change
     /// is time-driven once the machine is idle:
     ///
-    /// - a pending operand wakeup ([`Engine::ready_events`] head);
+    /// - a pending operand wakeup (the wakeup wheel's next bucket);
     /// - a functional unit a ready instruction is blocked on freeing up;
     /// - the issued ROB head reaching `complete + complete_to_commit`;
     /// - the fetch-queue front maturing past the front-end depth (it may
@@ -487,14 +645,19 @@ impl<'a> Engine<'a> {
                 next = Some(cycle);
             }
         };
-        if let Some(&Reverse((cycle, _))) = self.ready_events.peek() {
-            consider(cycle);
+        // Bucket `t` was just delivered, so every pending wakeup lies in
+        // (t, t + buckets): the first occupied bucket after `t` is the
+        // earliest.
+        let buckets = self.wheel_head.len();
+        let from = (t + 1) as usize & (buckets - 1);
+        if let Some(offset) = RingOffsets::new(&self.wheel_bits, from).next() {
+            consider(t + 1 + offset as u64);
         }
-        if !self.ready_q.is_empty() && !self.fu_infinite {
+        if self.ready_count > 0 && !self.fu_infinite {
             // Ready instructions are blocked on structural hazards only:
             // the earliest free time of each blocked class is an event.
             let mut classes_seen = 0u8;
-            for &idx in &self.ready_q {
+            for idx in self.ready_indices(&self.ready_bits) {
                 let class = fu_class(self.trace.inst(idx as usize).op);
                 let bit = 1u8 << class.index();
                 if classes_seen & bit != 0 {
@@ -519,25 +682,60 @@ impl<'a> Engine<'a> {
         next
     }
 
-    /// Insert into the sorted ready queue (each index enters at most once).
-    fn ready_q_insert(&mut self, idx: u32) {
-        match self.ready_q.binary_search(&idx) {
-            Ok(_) => debug_assert!(false, "instruction {idx} already ready"),
-            Err(pos) => self.ready_q.insert(pos, idx),
-        }
+    /// The instructions whose bits are set in `bits` (a ready-ring
+    /// image), oldest first.
+    fn ready_indices<'w>(&self, bits: &'w [u64]) -> impl Iterator<Item = u32> + 'w {
+        let base = self.next_commit;
+        RingOffsets::new(bits, base & self.ring_mask).map(move |off| (base + off) as u32)
     }
 
+    fn ready_insert(&mut self, idx: u32) {
+        let slot = idx as usize & self.ring_mask;
+        let bit = 1u64 << (slot % 64);
+        debug_assert!(
+            self.ready_bits[slot / 64] & bit == 0,
+            "instruction {idx} already ready"
+        );
+        self.ready_bits[slot / 64] |= bit;
+        self.ready_count += 1;
+    }
+
+    fn ready_remove(&mut self, idx: u32) {
+        let slot = idx as usize & self.ring_mask;
+        self.ready_bits[slot / 64] &= !(1u64 << (slot % 64));
+        self.ready_count -= 1;
+    }
+
+    /// Schedule `idx` to become ready at cycle `ready > t`.
+    fn wheel_insert(&mut self, idx: u32, ready: u64, t: u64) {
+        let buckets = self.wheel_head.len();
+        assert!(
+            ready - t < buckets as u64,
+            "wakeup {ready} is past the wheel horizon from {t}"
+        );
+        let bucket = ready as usize & (buckets - 1);
+        self.wheel_next[idx as usize & self.ring_mask] = self.wheel_head[bucket];
+        self.wheel_head[bucket] = idx;
+        self.wheel_bits[bucket / 64] |= 1u64 << (bucket % 64);
+    }
+
+    /// Move the wakeups due at `t` into the ready ring. The run loop
+    /// never jumps past a pending wakeup, so each is delivered exactly
+    /// at its cycle and the bucket holds nothing else.
     fn deliver_events(&mut self, t: u64) -> bool {
-        let mut delivered = false;
-        while let Some(&Reverse((cycle, idx))) = self.ready_events.peek() {
-            if cycle > t {
-                break;
-            }
-            self.ready_events.pop();
-            self.ready_q_insert(idx);
-            delivered = true;
+        let bucket = t as usize & (self.wheel_head.len() - 1);
+        let mut idx = std::mem::replace(&mut self.wheel_head[bucket], EDGE_NONE);
+        if idx == EDGE_NONE {
+            return false;
         }
-        delivered
+        self.wheel_bits[bucket / 64] &= !(1u64 << (bucket % 64));
+        while idx != EDGE_NONE {
+            debug_assert_eq!(self.records[idx as usize].ready, t);
+            let next = self.wheel_next[idx as usize & self.ring_mask];
+            self.ready_insert(idx);
+            idx = next;
+        }
+        true
     }
 
     fn commit(&mut self, t: u64) -> bool {
@@ -551,10 +749,13 @@ impl<'a> Engine<'a> {
                 break;
             }
             self.records[i].commit = t;
+            self.release_line(i);
             self.next_commit += 1;
             self.in_flight -= 1;
             slots -= 1;
         }
+        // Every outstanding miss is owned by an in-flight load.
+        debug_assert!(self.outstanding.len() <= self.in_flight);
         // Stall attribution: a cycle where nothing retired is either a
         // starved back end (ROB empty) or a blocked head instruction.
         if slots == self.commit_width && self.next_commit < self.trace.len() {
@@ -567,31 +768,46 @@ impl<'a> Engine<'a> {
         slots < self.commit_width
     }
 
+    /// Drop the outstanding-miss entry that committing load `i` opened,
+    /// if `i` still owns it, so the map stays within the window rather
+    /// than growing with every distinct missed line. This is exact: a
+    /// lookup at or after `i`'s commit sees `fill <= t + hit_lat` (the
+    /// fill completed at `i`'s `complete`) and would drop it anyway.
+    fn release_line(&mut self, i: usize) {
+        if !self.records[i].dcache_level.is_miss() {
+            return;
+        }
+        let line = self.mem.d_line_addr(self.trace.inst(i).mem_addr);
+        if let Entry::Occupied(entry) = self.outstanding.entry(line) {
+            if entry.get().1 == i as u32 {
+                entry.remove();
+            }
+        }
+    }
+
     fn issue_fixpoint(&mut self, t: u64) -> bool {
-        if self.ready_q.is_empty() {
+        if self.ready_count == 0 {
             return false;
         }
         let mut issued_any = false;
         let mut slots = self.issue_width;
-        // Reuse the scratch buffer for the oldest-first scans — the
-        // borrow is handed back before returning, so the hot loop never
-        // allocates once the buffer has grown to the high-water mark.
-        let mut candidates = std::mem::take(&mut self.issue_scratch);
+        // Each pass scans a snapshot of the ready ring, oldest first:
+        // an instruction made ready mid-pass waits for the next pass.
+        // The snapshot buffer is handed back before returning, so the
+        // hot loop never allocates.
+        let mut snapshot = std::mem::take(&mut self.issue_scratch);
         loop {
             let mut progressed = false;
-            // Oldest-first scan of the ready queue (kept sorted).
-            candidates.clear();
-            candidates.extend_from_slice(&self.ready_q);
-            for &idx in &candidates {
+            snapshot.clear();
+            snapshot.extend_from_slice(&self.ready_bits);
+            for idx in self.ready_indices(&snapshot) {
                 if slots == 0 {
                     break;
                 }
                 if !self.try_issue(idx, t) {
                     continue;
                 }
-                if let Ok(pos) = self.ready_q.binary_search(&idx) {
-                    self.ready_q.remove(pos);
-                }
+                self.ready_remove(idx);
                 slots -= 1;
                 progressed = true;
                 issued_any = true;
@@ -600,7 +816,7 @@ impl<'a> Engine<'a> {
                 break;
             }
         }
-        self.issue_scratch = candidates;
+        self.issue_scratch = snapshot;
         issued_any
     }
 
@@ -677,9 +893,9 @@ impl<'a> Engine<'a> {
         let ready = self.sched[i].ready_time;
         self.records[i].ready = ready;
         if ready <= t {
-            self.ready_q_insert(idx);
+            self.ready_insert(idx);
         } else {
-            self.ready_events.push(Reverse((ready, idx)));
+            self.wheel_insert(idx, ready, t);
         }
     }
 
@@ -797,11 +1013,14 @@ impl<'a> Engine<'a> {
                 }
             }
 
-            let rec = &mut self.records[i];
-            rec.fetch = t;
-            rec.icache_extra = self.pending_icache_extra;
-            rec.icache_level = self.pending_icache_level;
-            rec.itlb_miss = self.pending_itlb_miss;
+            debug_assert_eq!(self.records.len(), i, "fetch runs in program order");
+            self.records.push(ExecRecord {
+                fetch: t,
+                icache_extra: self.pending_icache_extra,
+                icache_level: self.pending_icache_level,
+                itlb_miss: self.pending_itlb_miss,
+                ..ExecRecord::default()
+            });
             self.pending_icache_extra = 0;
             self.pending_icache_level = MissLevel::Hit;
             self.pending_itlb_miss = false;
@@ -1266,6 +1485,105 @@ mod tests {
         let mut dedup = names.clone();
         dedup.dedup();
         assert_eq!(names.len(), dedup.len(), "row names are distinct");
+    }
+
+    #[test]
+    fn outstanding_misses_stay_within_the_window() {
+        // A cold stream over fresh lines, two loads per line: every line
+        // misses to memory once and merges once. Each entry must go when
+        // its load commits, so the map is bounded by the window, not by
+        // the lines touched.
+        let mut b = TraceBuilder::new();
+        for k in 0..4_000u64 {
+            b.load(Reg::int(1), 0x100_0000 + k * 32);
+            b.alu(Reg::int(2), &[Reg::int(1)]);
+        }
+        let t = b.finish();
+        let c = cfg();
+        let ideal = Idealization::from(EventClass::Imiss);
+        for mode in [EngineMode::Ticking, EngineMode::Events] {
+            let mut engine = Engine::new(&c, &t, ideal, MemSystem::new(&c));
+            let (mut cycle, mut most) = (0, 0);
+            while engine.next_commit < t.len() {
+                cycle = engine.step(cycle, mode);
+                most = most.max(engine.outstanding.len());
+            }
+            assert!(most > 1, "the stream overlaps its misses");
+            assert!(most <= c.rob_size, "{most} entries outlived the window");
+            assert!(engine.outstanding.is_empty(), "every owner committed");
+            let r = engine.finish();
+            r.check_invariants(&t).expect("invariants");
+            // Unchanged from before entries were dropped at commit.
+            assert_eq!(r.cycles, 15_254);
+            assert_eq!(r.counts.mem_load_misses, 2_000);
+            assert_eq!(r.counts.merged_loads, 2_000);
+            assert_eq!(r.stalls.load_mem_fill, 15_141);
+        }
+    }
+
+    #[test]
+    fn ring_offsets_wrap_in_order() {
+        let words = [0b1001u64, 1 << 63];
+        let from = |start| RingOffsets::new(&words, start).collect::<Vec<_>>();
+        assert_eq!(from(0), vec![0, 3, 127]);
+        // Starting mid-ring: bits at and after the start first, then the
+        // wrapped ones, each once.
+        assert_eq!(from(3), vec![0, 124, 125]);
+        assert_eq!(from(64), vec![63, 64, 67]);
+        assert_eq!(from(127), vec![0, 1, 4]);
+        assert_eq!(RingOffsets::new(&[0u64], 17).next(), None);
+    }
+
+    #[test]
+    fn wheel_grows_with_memory_latency() {
+        // A slow memory puts wakeups thousands of cycles ahead; the
+        // wheel is sized from the configuration, so both run loops
+        // still deliver them on time (a wakeup past the wheel panics).
+        let slow = MachineConfig {
+            mem_latency: 5_000,
+            ..cfg()
+        };
+        assert!(wheel_horizon(&slow) > 5_000);
+        let mut b = TraceBuilder::new();
+        let r1 = Reg::int(1);
+        for k in 0..8u64 {
+            b.load(r1, 0x40_0000 + k * 8192);
+            b.alu(Reg::int(2), &[r1]);
+        }
+        let t = b.finish();
+        let sim = Simulator::new(&slow);
+        let tick = sim.run_with_mode(&t, Idealization::none(), EngineMode::Ticking);
+        let ev = sim.run_with_mode(&t, Idealization::none(), EngineMode::Events);
+        tick.check_invariants(&t).expect("invariants");
+        assert_eq!(tick.records, ev.records);
+        assert_eq!((tick.cycles, tick.stalls), (ev.cycles, ev.stalls));
+        assert!(tick.records[0].exec_latency > 5_000);
+        assert_eq!(tick.records[1].ready, tick.records[0].complete);
+    }
+
+    #[test]
+    fn warm_state_is_shared_and_checked() {
+        let mut b = TraceBuilder::new();
+        b.load(Reg::int(1), 0x40_0000);
+        b.alu(Reg::int(2), &[Reg::int(1)]);
+        let t = b.finish();
+        let c = cfg();
+        let sim = Simulator::new(&c);
+        let warm = sim.warm(&[0x40_0000], &[t.inst(0).pc]);
+        let from = sim.run_from(&t, Idealization::none(), &warm);
+        assert_eq!(from.records[0].dcache_level, MissLevel::Hit);
+        assert_eq!(from.records[0].icache_extra, 0);
+        // A second run from the same state sees the same warm caches.
+        let again = sim.run_from(&t, Idealization::none(), &warm);
+        assert_eq!(again.records, from.records);
+        let other = MachineConfig::table6().with_dl1_latency(4);
+        let wrong = std::panic::catch_unwind(|| {
+            Simulator::new(&other).run_from(&t, Idealization::none(), &warm)
+        });
+        assert!(
+            wrong.is_err(),
+            "a state warmed for another config is refused"
+        );
     }
 
     #[test]

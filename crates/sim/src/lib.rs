@@ -54,6 +54,6 @@ mod record;
 
 pub use branch::{BranchOutcome, BranchPredictor};
 pub use cache::{Cache, MemSystem, MissLevel, Tlb};
-pub use engine::{EngineMode, Simulator};
+pub use engine::{EngineMode, Simulator, WarmState};
 pub use ideal::Idealization;
 pub use record::{EngineStats, EventCounts, ExecRecord, PipelineStalls, SimResult};

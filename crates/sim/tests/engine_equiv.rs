@@ -7,6 +7,9 @@
 //! (runner, planner, streaming windows, audits) adopt the fast engine
 //! without re-validating a single answer.
 //!
+//! Warmed runs also check [`Simulator::run_from`]: one warm state,
+//! shared by runs of different sets, gives what warming fresh gives.
+//!
 //! Also here: stall-accounting invariants that hold for *any* trace on
 //! either engine, which pin the bulk-attribution rewrite (per-cycle
 //! causes can never exceed total cycles; non-overlapped fill charges can
@@ -127,13 +130,20 @@ proptest! {
         let w = generate(p, n, seed);
         let cfg = MachineConfig::table6();
         let warm = warmed.then_some((w.warm_data.as_slice(), w.warm_code.as_slice()));
-        check_equiv(
-            &cfg,
-            &w.trace,
-            ideal_from_bits(bits),
-            warm,
-            &format!("{} n={n} bits={bits:08b} warmed={warmed}", p.name),
-        );
+        let what = format!("{} n={n} bits={bits:08b} warmed={warmed}", p.name);
+        let reference = check_equiv(&cfg, &w.trace, ideal_from_bits(bits), warm, &what);
+        if warmed {
+            // One warm state serves every set: runs from it match
+            // freshly warmed runs, the second after the first used it.
+            let sim = Simulator::new(&cfg);
+            let state = sim.warm(&w.warm_data, &w.warm_code);
+            let other = sim.run_from(&w.trace, ideal_from_bits(!bits), &state);
+            let fresh =
+                sim.run_warmed(&w.trace, ideal_from_bits(!bits), &w.warm_data, &w.warm_code);
+            assert_identical(&other, &fresh, &format!("{what} run_from !bits"));
+            let shared = sim.run_from(&w.trace, ideal_from_bits(bits), &state);
+            assert_identical(&shared, &reference, &format!("{what} run_from reused"));
+        }
     }
 
     /// Stall invariants on arbitrary hand-built traces (not just the
@@ -199,6 +209,31 @@ fn memory_bound_chase_skips_most_cycles() {
         r.cycles
     );
     assert!(ev.engine.idle_spans > 0);
+}
+
+/// One [`uarch_sim::WarmState`] reused across all 37 breakdown sets
+/// gives what warming fresh for each set gives: a run never mutates
+/// the shared state.
+#[test]
+fn one_warm_state_serves_every_breakdown_set() {
+    let w = generate(BenchProfile::by_name("gcc").expect("gcc profile"), 400, 5);
+    let cfg = MachineConfig::table6();
+    let sim = Simulator::new(&cfg);
+    let state = sim.warm(&w.warm_data, &w.warm_code);
+    let mut sets = vec![EventSet::EMPTY];
+    sets.extend(EventClass::ALL.iter().map(|&c| EventSet::single(c)));
+    for (i, &a) in EventClass::ALL.iter().enumerate() {
+        for &b in &EventClass::ALL[i + 1..] {
+            sets.push(EventSet::single(a).with(b));
+        }
+    }
+    assert_eq!(sets.len(), 37);
+    for set in sets {
+        let ideal = Idealization::from(set);
+        let shared = sim.run_from(&w.trace, ideal, &state);
+        let fresh = sim.run_warmed(&w.trace, ideal, &w.warm_data, &w.warm_code);
+        assert_identical(&shared, &fresh, &format!("shared warm state, set {set}"));
+    }
 }
 
 /// Config-perturbed equivalence: the Section 4 tutorial knobs (slower
