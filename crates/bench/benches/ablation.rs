@@ -3,38 +3,13 @@
 //! density, signature-context width, and fragment-ensemble size, each
 //! scored by breakdown error against the full-graph analysis.
 
-use icost::{CostOracle, GraphOracle};
-use icost_bench::{bench_insts, workload, Shape};
-use shotgun::{collect_samples, ProfilerOracle, SamplerConfig};
+use icost::CostOracle;
+use icost_bench::{bench_insts, harness_runner, workload, Shape};
+use shotgun::{collect_samples, Profile, SamplerConfig};
 use uarch_graph::DepGraph;
+use uarch_runner::Backend;
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
-
-/// Mean absolute breakdown error (percentage points over the 8 singleton
-/// categories) of a profiler configured by `sampler` versus the full
-/// graph.
-fn profiler_error(
-    w: &uarch_workloads::Workload,
-    cfg: &MachineConfig,
-    full: &mut GraphOracle<'_>,
-    sampler: &SamplerConfig,
-    fragments: usize,
-) -> (f64, usize, f64) {
-    let sim = Simulator::new(cfg);
-    let result = sim.run_warmed(&w.trace, Idealization::none(), &w.warm_data, &w.warm_code);
-    let samples = collect_samples(&w.trace, &result, sampler);
-    let mut prof = ProfilerOracle::new(&samples, &w.program, cfg, fragments, 7);
-    let mut err = 0.0;
-    for c in EventClass::ALL {
-        let set = EventSet::single(c);
-        err += (prof.cost_percent(set) - full.cost_percent(set)).abs();
-    }
-    (
-        err / EventClass::ALL.len() as f64,
-        prof.fragment_count(),
-        prof.match_rate(),
-    )
-}
 
 fn main() {
     let n = bench_insts();
@@ -43,8 +18,25 @@ fn main() {
     let sim = Simulator::new(&cfg);
     let result = sim.run_warmed(&w.trace, Idealization::none(), &w.warm_data, &w.warm_code);
     let graph = DepGraph::build(&w.trace, &result, &cfg);
-    let mut full = GraphOracle::new(&graph);
+    let runner = harness_runner();
+    let mut full = runner.oracle(Backend::graph(&graph));
     let mut shape = Shape::new();
+
+    // Mean absolute breakdown error (pp over the 8 singleton categories)
+    // of a profile sampled by `sampler` versus the full graph, with its
+    // fragment count and detail match rate.
+    let mut profiler_error = |sampler: &SamplerConfig, fragments: usize| {
+        let samples = collect_samples(&w.trace, &result, sampler);
+        let profile = Profile::new(&samples, &w.program, &cfg, fragments, 7);
+        let mut prof = runner.oracle(Backend::profile(profile.graphs()));
+        let mut err = 0.0;
+        for c in EventClass::ALL {
+            let set = EventSet::single(c);
+            err += (prof.cost_percent(set) - full.cost_percent(set)).abs();
+        }
+        let err = err / EventClass::ALL.len() as f64;
+        (err, profile.fragment_count(), profile.match_rate())
+    };
 
     println!("Profiler design ablations on twolf ({n} insts); error = mean |pp| vs fullgraph\n");
 
@@ -55,7 +47,7 @@ fn main() {
             detail_interval: interval,
             ..SamplerConfig::default()
         };
-        let (err, frags, match_rate) = profiler_error(&w, &cfg, &mut full, &s, 16);
+        let (err, frags, match_rate) = profiler_error(&s, 16);
         println!(
             "  every ~{interval:>4} insts: error {err:>5.2}pp  ({frags} fragments, {:>3.0}% matched)",
             100.0 * match_rate
@@ -75,7 +67,7 @@ fn main() {
             signature_interval: 2000,
             ..SamplerConfig::default()
         };
-        let (err, frags, _) = profiler_error(&w, &cfg, &mut full, &s, 16);
+        let (err, frags, _) = profiler_error(&s, 16);
         println!("  {len:>5}-inst skeletons: error {err:>5.2}pp  ({frags} fragments)");
     }
 
@@ -86,7 +78,7 @@ fn main() {
             detail_context: ctx,
             ..SamplerConfig::default()
         };
-        let (err, _, _) = profiler_error(&w, &cfg, &mut full, &s, 16);
+        let (err, _, _) = profiler_error(&s, 16);
         println!("  +/-{ctx:>2} instructions: error {err:>5.2}pp");
         ctx_errs.push((ctx, err));
     }
@@ -108,7 +100,7 @@ fn main() {
     println!("\n(d) fragment-ensemble size:");
     let mut frag_errs = Vec::new();
     for frags in [2usize, 4, 8, 16] {
-        let (err, got, _) = profiler_error(&w, &cfg, &mut full, &SamplerConfig::default(), frags);
+        let (err, got, _) = profiler_error(&SamplerConfig::default(), frags);
         println!("  {frags:>2} fragments requested ({got} built): error {err:>5.2}pp");
         frag_errs.push(err);
     }

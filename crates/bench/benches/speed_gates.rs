@@ -35,13 +35,10 @@ use uarch_workloads::{generate, pointer_chase, BenchProfile, Workload};
 /// Best-of-`reps` wall time of one closure; the minimum is the least
 /// noise-contaminated estimate of the true cost on a shared CI host.
 fn best_of<F: FnMut()>(reps: usize, mut f: F) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed());
-    }
-    best
+    (0..reps)
+        .map(|_| timed(&mut f))
+        .min()
+        .unwrap_or(Duration::MAX)
 }
 
 /// `loaded` is within 3% of `bare`, or within 50ms absolute: on a noisy
@@ -65,10 +62,40 @@ fn bit_identical(a: &SimResult, b: &SimResult) -> bool {
 /// Timed runs of each engine mode in [`race`].
 const RACE_REPS: usize = 15;
 
+/// Passes of each side in the overhead and perturbation gates.
+const OVERHEAD_REPS: usize = 5;
+
+/// `reps` calls of each of `a` and `b`, alternating, with the side that
+/// goes first switching every round, so a burst of load on a shared
+/// host lands on both. Returns each side's outputs in call order.
+fn alternate<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (Vec<A>, Vec<B>) {
+    let (mut from_a, mut from_b) = (Vec::new(), Vec::new());
+    for round in 0..reps {
+        if round % 2 == 0 {
+            from_a.push(a());
+            from_b.push(b());
+        } else {
+            from_b.push(b());
+            from_a.push(a());
+        }
+    }
+    (from_a, from_b)
+}
+
+/// Wall time of one call.
+fn timed(f: impl FnOnce()) -> Duration {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed()
+}
+
 /// Time both engines on one workload, gating bit-identity first. The
-/// modes alternate, and the one that goes first switches every round,
-/// so a burst of load on a shared host lands on both. Returns the
-/// (ticking, events) medians of [`RACE_REPS`] runs each.
+/// modes [`alternate`]; returns the (ticking, events) medians of
+/// [`RACE_REPS`] runs each.
 fn race(
     shape: &mut Shape,
     sim: &Simulator,
@@ -86,23 +113,11 @@ fn race(
         &format!("{what}: event engine bit-identical to ticking engine"),
         bit_identical(&ticking, &events),
     );
-    let (mut ticks, mut evs) = (Vec::new(), Vec::new());
-    for round in 0..RACE_REPS {
-        let order = if round % 2 == 0 {
-            [EngineMode::Ticking, EngineMode::Events]
-        } else {
-            [EngineMode::Events, EngineMode::Ticking]
-        };
-        for mode in order {
-            let t0 = Instant::now();
-            run(mode);
-            let wall = t0.elapsed();
-            match mode {
-                EngineMode::Ticking => ticks.push(wall),
-                EngineMode::Events => evs.push(wall),
-            }
-        }
-    }
+    let (ticks, evs) = alternate(
+        RACE_REPS,
+        || timed(|| drop(run(EngineMode::Ticking))),
+        || timed(|| drop(run(EngineMode::Events))),
+    );
     let (t_tick, t_ev) = (median(ticks), median(evs));
     println!(
         "{what:<28} ticking {t_tick:>8.2?}  events {t_ev:>8.2?}  ({:.2}x, skipped {}/{} cycles)",
@@ -237,7 +252,10 @@ fn runner_sweep(w: &Workload, cfg: &MachineConfig) -> (Vec<i64>, RunReport, Dura
 /// the ledger and a causal trace binding on, as a traced
 /// `POST /query` would run.
 fn runner(shape: &mut Shape, w: &Workload, cfg: &MachineConfig) {
-    println!("Runner — pair-icost sweep, gcc @ {} insts\n", w.trace.len());
+    println!(
+        "Runner — pair-icost sweep, gcc @ {} insts (runner passes: medians of {OVERHEAD_REPS})\n",
+        w.trace.len()
+    );
     let start = Instant::now();
     let mut serial_answers = Vec::new();
     let mut serial_sims = 0;
@@ -249,19 +267,22 @@ fn runner(shape: &mut Shape, w: &Workload, cfg: &MachineConfig) {
     let serial_wall = start.elapsed();
     println!("serial:  {serial_sims:>4} simulations in {serial_wall:>10.3?}");
 
-    let (answers, report, bare_wall) = runner_sweep(w, cfg);
+    let traced_sweep = || {
+        global().set_enabled(true);
+        uarch_obs::ledger::global().set_enabled(true);
+        let _trace = uarch_obs::causal::set_current(uarch_obs::TraceCtx::mint());
+        let pass = runner_sweep(w, cfg);
+        global().set_enabled(false);
+        uarch_obs::ledger::global().set_enabled(false);
+        pass
+    };
+    let (bare, traced) = alternate(OVERHEAD_REPS, || runner_sweep(w, cfg), traced_sweep);
+    let bare_wall = median(bare.iter().map(|pass| pass.2));
+    let traced_wall = median(traced.iter().map(|pass| pass.2));
     println!(
         "runner:  {:>4} simulations in {bare_wall:>10.3?}  (tracing off)",
-        report.sims_run
+        bare[0].1.sims_run
     );
-
-    global().set_enabled(true);
-    uarch_obs::ledger::global().set_enabled(true);
-    let trace_guard = uarch_obs::causal::set_current(uarch_obs::TraceCtx::mint());
-    let (traced_answers, _, traced_wall) = runner_sweep(w, cfg);
-    drop(trace_guard);
-    global().set_enabled(false);
-    uarch_obs::ledger::global().set_enabled(false);
     println!("runner:  same sweep in {traced_wall:>10.3?}  (tracing on)\n");
 
     let speedup = serial_wall.as_secs_f64() / bare_wall.as_secs_f64().max(1e-9);
@@ -270,11 +291,14 @@ fn runner(shape: &mut Shape, w: &Workload, cfg: &MachineConfig) {
     println!("observability overhead: {:+.2}%\n", 100.0 * overhead);
     shape.check(
         "runner answers are bit-identical to the serial oracle",
-        answers == serial_answers,
+        bare.iter()
+            .all(|(answers, _, _)| *answers == serial_answers),
     );
     shape.check(
         "traced pass computes the same answers",
-        traced_answers == serial_answers,
+        traced
+            .iter()
+            .all(|(answers, _, _)| *answers == serial_answers),
     );
     shape.check("lattice sweep speedup is at least 2x", speedup >= 2.0);
     shape.check(
@@ -355,66 +379,78 @@ fn poll(addr: SocketAddr, path: String, stop: Arc<AtomicBool>) -> Vec<Duration> 
     latencies
 }
 
-fn median(mut v: Vec<Duration>) -> Duration {
+fn median(v: impl IntoIterator<Item = Duration>) -> Duration {
+    let mut v: Vec<Duration> = v.into_iter().collect();
     v.sort_unstable();
     v.get(v.len() / 2).copied().unwrap_or_default()
 }
 
-/// The pair sweep through `uarch-serve` twice, each on a fresh host:
-/// once with the HTTP plane idle, once traced per round while one
-/// thread scrapes `GET /metrics` and another polls `GET /trace/<id>`
-/// of the first round.
+/// The pair sweep through `uarch-serve`, each pass on a fresh host:
+/// [`OVERHEAD_REPS`] passes with the HTTP plane idle, [`alternate`]d
+/// with as many traced per round (own trace ids each pass) while one
+/// thread scrapes `GET /metrics` and another polls `GET /trace/<id>` of
+/// the pass's first round.
 fn serve(shape: &mut Shape, w: &Workload, cfg: &MachineConfig) {
     println!(
-        "Serve — pair-icost sweep as POST /query, gcc @ {} insts\n",
+        "Serve — pair-icost sweep as POST /query, gcc @ {} insts (medians of {OVERHEAD_REPS})\n",
         w.trace.len()
     );
-    let bare_server = start_server(w, cfg);
-    let (bare_answers, bare_wall) = http_sweep(bare_server.addr(), &[]);
-    drop(bare_server);
-    println!("sweep:  {bare_wall:>10.3?}  (no scraper)");
-
-    let trace_ids: Vec<String> = (0..EventClass::ALL.len())
-        .map(|i| format!("{:016x}", 0xb000 + i as u64))
-        .collect();
-    let server = start_server(w, cfg);
-    let addr = server.addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let trace_path = format!("/trace/{}", trace_ids[0]);
-    let scraper = std::thread::spawn({
-        let stop = Arc::clone(&stop);
-        move || poll(addr, "/metrics".to_string(), stop)
-    });
-    let trace_poller = std::thread::spawn({
-        let (stop, path) = (Arc::clone(&stop), trace_path.clone());
-        move || poll(addr, path, stop)
-    });
-    let (scraped_answers, scraped_wall) = http_sweep(addr, &trace_ids);
-    stop.store(true, Ordering::Relaxed);
-    let scrapes = scraper.join().expect("scraper thread");
-    let mut lookups = trace_poller.join().expect("trace poller thread");
-    // A fast sweep can end before the poller lands many 200s; top the
-    // sample up so the median is always meaningful.
-    while lookups.len() < 20 {
-        let start = Instant::now();
-        let response = request(addr, "GET", &trace_path, "", "");
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        lookups.push(start.elapsed());
-    }
-    let scrape_count = scrapes.len();
+    let (mut scrapes, mut lookups, mut fewest_scrapes) = (Vec::new(), Vec::new(), usize::MAX);
+    let mut pass = 0;
+    // The server lives until the end of the statement, past the sweep.
+    let bare_pass = || http_sweep(start_server(w, cfg).addr(), &[]);
+    let scraped_pass = || {
+        pass += 1;
+        let trace_ids: Vec<String> = (0..EventClass::ALL.len() as u64)
+            .map(|i| format!("{:016x}", 0xb000 + 0x100 * pass + i))
+            .collect();
+        let server = start_server(w, cfg);
+        let addr = server.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let trace_path = format!("/trace/{}", trace_ids[0]);
+        let scraper = std::thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || poll(addr, "/metrics".to_string(), stop)
+        });
+        let trace_poller = std::thread::spawn({
+            let (stop, path) = (Arc::clone(&stop), trace_path.clone());
+            move || poll(addr, path, stop)
+        });
+        let sweep = http_sweep(addr, &trace_ids);
+        stop.store(true, Ordering::Relaxed);
+        let pass_scrapes = scraper.join().expect("scraper thread");
+        let mut pass_lookups = trace_poller.join().expect("trace poller thread");
+        // A fast sweep can end before the poller lands many 200s; top the
+        // sample up so the median is always meaningful.
+        while pass_lookups.len() < 20 {
+            let start = Instant::now();
+            let response = request(addr, "GET", &trace_path, "", "");
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+            pass_lookups.push(start.elapsed());
+        }
+        fewest_scrapes = fewest_scrapes.min(pass_scrapes.len());
+        scrapes.extend(pass_scrapes);
+        lookups.extend(pass_lookups);
+        sweep
+    };
+    let (bare, scraped) = alternate(OVERHEAD_REPS, bare_pass, scraped_pass);
+    let bare_wall = median(bare.iter().map(|pass| pass.1));
+    let scraped_wall = median(scraped.iter().map(|pass| pass.1));
     let (scrape_median, lookup_median) = (median(scrapes), median(lookups));
     let (overhead, perturbation_ok) = overhead_ok(bare_wall, scraped_wall);
-    println!("sweep:  {scraped_wall:>10.3?}  ({scrape_count} scrapes riding along)");
+    println!("sweep:  {bare_wall:>10.3?}  (no scraper)");
+    println!("sweep:  {scraped_wall:>10.3?}  ({fewest_scrapes}+ scrapes riding along)");
     println!("scrape latency: median {scrape_median:.3?}");
     println!("trace lookup latency: median {lookup_median:.3?}");
     println!("scrape perturbation: {:+.2}%\n", 100.0 * overhead);
+    let reference = &bare[0].0;
     shape.check(
         "scraped sweep answers are identical to the unscraped sweep",
-        scraped_answers == bare_answers && !bare_answers.is_empty(),
+        !reference.is_empty() && bare.iter().chain(&scraped).all(|(a, _)| a == reference),
     );
     shape.check(
         "the scraper completed scrapes while the sweep ran",
-        scrape_count >= 10,
+        fewest_scrapes >= 10,
     );
     shape.check(
         "a /metrics scrape under load completes in under 10ms (median)",

@@ -8,8 +8,8 @@
 //! reported per category, paper-style.
 
 use icost::{icost, Breakdown, CostOracle, GraphOracle};
-use icost_bench::{bench_insts, multisim_oracle, workload, Shape};
-use shotgun::{collect_samples, ProfilerOracle, SamplerConfig};
+use icost_bench::{bench_insts, harness_runner, multisim_oracle, workload, Shape};
+use shotgun::{collect_samples, Profile, SamplerConfig};
 use uarch_graph::DepGraph;
 use uarch_runner::{Backend, RunReport, Runner};
 use uarch_sim::{Idealization, Simulator};
@@ -43,13 +43,14 @@ fn main() {
         let mut multi = multisim_oracle(&w, &cfg);
         let mut full = Runner::new().oracle(Backend::graph(&graph));
         let samples = collect_samples(&w.trace, &result, &SamplerConfig::default());
-        let mut prof = ProfilerOracle::new(&samples, &w.program, &cfg, 16, 7);
+        let profile = Profile::new(&samples, &w.program, &cfg, 16, 7);
+        let mut prof = harness_runner().oracle(Backend::profile(profile.graphs()));
 
         println!(
             "{name}: {} fragments ({} discarded), detail match rate {:.0}%",
-            prof.fragment_count(),
-            prof.discarded(),
-            100.0 * prof.match_rate()
+            profile.fragment_count(),
+            profile.discarded(),
+            100.0 * profile.match_rate()
         );
         println!(
             "{:<12} {:>9} {:>10} {:>10}",
@@ -69,8 +70,8 @@ fn main() {
         }
         // Everything the loop below will ask of the oracles, posed up
         // front as one batch: a parallel simulation wave for the ground
-        // truth, lane-batched sweeps for the graph, and batched fragment
-        // scoring (one multi-lane sweep per fragment) for the profiler.
+        // truth, lane-batched sweeps for the graph, and the same sweeps
+        // over every fragment, summed, for the profiler.
         let wanted: Vec<EventSet> = sets.iter().flat_map(|(_, s)| s.subsets()).collect();
         multi.prefetch(&wanted);
         full.prefetch(&wanted);

@@ -228,10 +228,9 @@ fn serve_process_enforces_bearer_token_and_answers_auto_batches() {
 
     let (status, metrics) = request_with(addr, "GET", "/metrics", auth, "");
     assert_eq!(status, 200);
-    assert!(
-        metrics.contains("plan_queries"),
-        "missing plan_queries in:\n{metrics}"
-    );
+    for needle in ["plan_queries", "plan_answers_"] {
+        assert!(metrics.contains(needle), "missing {needle} in:\n{metrics}");
+    }
 
     // The auth failures were counted as HTTP errors.
     assert!(metrics.contains("serve_http_errors"), "{metrics}");
@@ -428,6 +427,10 @@ fn explain_and_cli_audit_produce_identical_waterfalls() {
         Some("graph+counters")
     );
     assert_eq!(doc.get("scope").and_then(|v| v.as_str()), Some("run"));
+    assert!(
+        doc.get("verdict").and_then(|v| v.as_str()).is_some(),
+        "{body}"
+    );
     // Unknown-field tolerance makes the response parse as exactly the
     // ledger's audit record.
     let (records, _) = uarch_obs::ledger::parse_ledger_lenient(body.trim()).expect("parses");
@@ -441,6 +444,7 @@ fn explain_and_cli_audit_produce_identical_waterfalls() {
     let (status, ranged) = request(addr, "POST", "/explain", r#"{"start":0,"end":1000}"#);
     assert_eq!(status, 200, "{ranged}");
     let doc = uarch_obs::json::parse(ranged.trim()).expect("ranged JSON");
+    assert_eq!(doc.get("kind").and_then(|v| v.as_str()), Some("audit"));
     assert_eq!(
         doc.get("scope").and_then(|v| v.as_str()),
         Some("range 0..1000")
@@ -451,7 +455,7 @@ fn explain_and_cli_audit_produce_identical_waterfalls() {
     assert_eq!(status, 400, "out-of-range end must be rejected");
 
     // Acceptance: the CLI renders the identical waterfall from the
-    // ledger file, and its --max-refuted gate passes at the lax bound.
+    // ledger file, and its --max-refuted gate passes at 0.5.
     let ledger_text = std::fs::read_to_string(&server.ledger_path).expect("ledger file");
     let audit_lines: Vec<&str> = ledger_text
         .lines()
@@ -461,7 +465,7 @@ fn explain_and_cli_audit_produce_identical_waterfalls() {
     let out = Command::new(BIN)
         .arg("audit")
         .arg(&server.ledger_path)
-        .args(["--max-refuted", "1.0"])
+        .args(["--max-refuted", "0.5"])
         .output()
         .expect("icost-obs audit runs");
     assert!(out.status.success(), "{out:?}");
@@ -508,6 +512,53 @@ fn explain_and_cli_audit_produce_identical_waterfalls() {
         "{ready}"
     );
     assert!(audit_state.get("refuted_rate").is_some(), "{ready}");
+}
+
+/// Causal tracing through a real process: an adopted trace id comes
+/// back with a cost receipt, replays via `GET /trace/<id>`, shows in
+/// the slow log, links the latency histogram through an OpenMetrics
+/// exemplar, and folds into a live flamegraph via `icost-obs flame`.
+#[test]
+fn traced_process_replays_receipts_and_folds_flamegraphs() {
+    let dir = std::env::temp_dir().join(format!("icost-serve-e2e-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let chrome = dir.join("traced-chrome.json");
+    let chrome_env = chrome.to_str().expect("utf-8 temp path");
+    let server = ServerProcess::spawn_with_env(&[], "traced", &[("ICOST_TRACE_FILE", chrome_env)]);
+    let addr = server.addr;
+    let id = "00000000000c0ffe";
+
+    let header = format!("x-icost-trace: {id}-{id}\r\n");
+    let batch = r#"{"queries":[{"icost":"dmiss+win"}]}"#;
+    let (status, body) = request_with(addr, "POST", "/query", &header, batch);
+    assert_eq!(status, 200, "{body}");
+    let doc = uarch_obs::json::parse(&body).expect("response is JSON");
+    assert_eq!(doc.get("trace_id").and_then(|v| v.as_str()), Some(id));
+    assert!(doc.get("receipt").is_some(), "{body}");
+
+    let (status, lookup) = request(addr, "GET", &format!("/trace/{id}"), "");
+    assert_eq!(status, 200, "{lookup}");
+    let tdoc = uarch_obs::json::parse(&lookup).expect("trace JSON");
+    let endpoint = tdoc.get("receipt").and_then(|r| r.get("endpoint"));
+    assert_eq!(endpoint.and_then(|v| v.as_str()), Some("query"));
+    let spans = tdoc.get("spans").and_then(|v| v.as_arr()).expect("spans");
+    assert!(!spans.is_empty(), "{lookup}");
+    assert!(lookup.contains("serve.query"), "{lookup}");
+
+    let (status, slow) = request(addr, "GET", "/trace/slow", "");
+    assert_eq!(status, 200);
+    assert!(slow.contains(id), "{slow}");
+    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert!(metrics.contains(&format!("trace_id=\"{id}\"")), "{metrics}");
+
+    let out = Command::new(BIN)
+        .args(["flame", "--addr", &addr.to_string(), "--secs", "600"])
+        .output()
+        .expect("icost-obs flame runs");
+    assert!(out.status.success(), "{out:?}");
+    let folded = String::from_utf8_lossy(&out.stdout);
+    assert!(folded.contains("serve.query"), "{folded}");
 }
 
 #[test]

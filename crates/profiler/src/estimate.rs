@@ -1,37 +1,34 @@
-//! Fragment-ensemble cost estimation (paper Section 5.2, Section 6).
+//! Fragment-ensemble estimation (paper Section 5.2, Section 6).
 //!
 //! The profiler's breakdowns come from analyzing a statistically
 //! representative set of reconstructed fragments exactly as if each were a
-//! simulator-built graph: costs are summed across fragments and expressed
-//! against the summed fragment baselines.
-
-use std::collections::HashMap;
+//! simulator-built graph. A [`Profile`] is that set; the runner's graph
+//! backend (`uarch_runner::Backend::profile`) answers `cost(S)` over it,
+//! summing each `t(S)` across the fragments.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::reconstruct::{reconstruct, Fragment};
+use crate::reconstruct::{reconstruct, ReconstructStats};
 use crate::sampler::Samples;
-use icost::CostOracle;
-use uarch_trace::{EventSet, MachineConfig, StaticProgram};
+use uarch_graph::DepGraph;
+use uarch_trace::{MachineConfig, StaticProgram};
 
-/// A [`CostOracle`] backed by shotgun-reconstructed graph fragments.
+/// Shotgun-reconstructed dependence-graph fragments, in pick order.
 ///
 /// Random skeleton selection gives every signature sample equal
 /// probability, which naturally weights hot microexecution paths (they
 /// produce more samples).
-#[derive(Debug)]
-pub struct ProfilerOracle {
-    fragments: Vec<Fragment>,
+#[derive(Debug, Clone, Default)]
+pub struct Profile {
+    graphs: Vec<DepGraph>,
+    stats: Vec<ReconstructStats>,
     discarded: usize,
-    memo: HashMap<EventSet, i64>,
-    baseline: u64,
 }
 
-impl ProfilerOracle {
-    /// Reconstruct up to `max_fragments` fragments from `samples` and
-    /// build the ensemble oracle. Fragments failing reconstruction are
-    /// discarded and counted.
+impl Profile {
+    /// Reconstruct up to `max_fragments` fragments from `samples`.
+    /// Fragments failing reconstruction are discarded and counted.
     ///
     /// # Panics
     /// Panics if `samples` contains no signature samples.
@@ -41,41 +38,40 @@ impl ProfilerOracle {
         config: &MachineConfig,
         max_fragments: usize,
         seed: u64,
-    ) -> ProfilerOracle {
+    ) -> Profile {
         assert!(
             !samples.signatures.is_empty(),
             "no signature samples collected"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut fragments = Vec::new();
-        let mut discarded = 0;
+        let mut profile = Profile::default();
         // Random selection with replacement (step 1 of Figure 5a).
         let attempts = max_fragments.max(1) * 2;
         for _ in 0..attempts {
-            if fragments.len() >= max_fragments {
+            if profile.graphs.len() >= max_fragments {
                 break;
             }
             let pick = rng.random_range(0..samples.signatures.len());
             match reconstruct(&samples.signatures[pick], &samples.details, program, config) {
-                Ok(f) => fragments.push(f),
-                Err(_) => discarded += 1,
+                Ok(f) => {
+                    profile.graphs.push(f.graph);
+                    profile.stats.push(f.stats);
+                }
+                Err(_) => profile.discarded += 1,
             }
         }
-        let baseline = fragments
-            .iter()
-            .map(|f| f.graph.evaluate(EventSet::EMPTY))
-            .sum();
-        ProfilerOracle {
-            fragments,
-            discarded,
-            memo: HashMap::new(),
-            baseline,
-        }
+        profile
+    }
+
+    /// The fragment graphs, in pick order: the ensemble the runner's
+    /// graph backend analyzes.
+    pub fn graphs(&self) -> &[DepGraph] {
+        &self.graphs
     }
 
     /// Number of fragments in the ensemble.
     pub fn fragment_count(&self) -> usize {
-        self.fragments.len()
+        self.graphs.len()
     }
 
     /// Number of skeleton picks that failed reconstruction.
@@ -85,63 +81,14 @@ impl ProfilerOracle {
 
     /// Mean fraction of positions filled from detailed samples.
     pub fn match_rate(&self) -> f64 {
-        if self.fragments.is_empty() {
+        if self.stats.is_empty() {
             return 0.0;
         }
-        self.fragments
+        self.stats
             .iter()
-            .map(|f| f.stats.match_rate())
+            .map(ReconstructStats::match_rate)
             .sum::<f64>()
-            / self.fragments.len() as f64
-    }
-
-    /// The fragments themselves (for inspection and tests).
-    pub fn fragments(&self) -> &[Fragment] {
-        &self.fragments
-    }
-}
-
-impl CostOracle for ProfilerOracle {
-    fn cost(&mut self, set: EventSet) -> i64 {
-        if set.is_empty() {
-            return 0;
-        }
-        let fragments = &self.fragments;
-        let baseline = self.baseline;
-        *self.memo.entry(set).or_insert_with(|| {
-            let idealized: u64 = fragments.iter().map(|f| f.graph.evaluate(set)).sum();
-            baseline as i64 - idealized as i64
-        })
-    }
-
-    fn baseline(&mut self) -> u64 {
-        self.baseline
-    }
-
-    /// Batched fragment scoring: one lane-batched sweep per fragment
-    /// answers the whole announced set list, instead of one sweep per
-    /// (fragment, set) pair.
-    fn prefetch(&mut self, sets: &[EventSet]) {
-        let mut jobs: Vec<EventSet> = Vec::new();
-        for &s in sets {
-            if !s.is_empty() && !self.memo.contains_key(&s) && !jobs.contains(&s) {
-                jobs.push(s);
-            }
-        }
-        if jobs.is_empty() {
-            return;
-        }
-        let mut sums = vec![0u64; jobs.len()];
-        let mut scratch = uarch_graph::LaneScratch::new();
-        for f in &self.fragments {
-            let times = f.graph.eval_many_with(&jobs, &mut scratch);
-            for (acc, t) in sums.iter_mut().zip(times) {
-                *acc += t;
-            }
-        }
-        for (s, idealized) in jobs.into_iter().zip(sums) {
-            self.memo.insert(s, self.baseline as i64 - idealized as i64);
-        }
+            / self.stats.len() as f64
     }
 }
 
@@ -149,33 +96,42 @@ impl CostOracle for ProfilerOracle {
 mod tests {
     use super::*;
     use crate::sampler::{collect_samples, SamplerConfig};
+    use icost::CostOracle;
+    use uarch_runner::{Backend, Runner};
     use uarch_sim::{Idealization, Simulator};
-    use uarch_trace::EventClass;
+    use uarch_trace::{EventClass, EventSet};
     use uarch_workloads::{generate, BenchProfile};
 
-    fn build_oracle(bench: &str, n: usize) -> (ProfilerOracle, u64) {
+    /// A profile of `bench`, and the full graph a deployed system would
+    /// not have.
+    fn build_profile(bench: &str, n: usize, fragments: usize) -> (Profile, DepGraph) {
         let cfg = MachineConfig::table6();
         let w = generate(BenchProfile::by_name(bench).expect("known"), n, 17);
         let result = Simulator::new(&cfg).run(&w.trace, Idealization::none());
         let samples = collect_samples(&w.trace, &result, &SamplerConfig::default());
-        let oracle = ProfilerOracle::new(&samples, &w.program, &cfg, 12, 5);
-        (oracle, result.cycles)
+        let profile = Profile::new(&samples, &w.program, &cfg, fragments, 5);
+        (profile, DepGraph::build(&w.trace, &result, &cfg))
     }
 
     #[test]
     fn builds_fragments_from_real_workload() {
-        let (oracle, _) = build_oracle("gcc", 30_000);
-        assert!(oracle.fragment_count() >= 4, "{}", oracle.fragment_count());
+        let (profile, _) = build_profile("gcc", 30_000, 12);
         assert!(
-            oracle.match_rate() > 0.5,
+            profile.fragment_count() >= 4,
+            "{}",
+            profile.fragment_count()
+        );
+        assert!(
+            profile.match_rate() > 0.5,
             "match rate {:.2} too low",
-            oracle.match_rate()
+            profile.match_rate()
         );
     }
 
     #[test]
     fn profiler_costs_have_sane_signs() {
-        let (mut oracle, _) = build_oracle("mcf", 30_000);
+        let (profile, _) = build_profile("mcf", 30_000, 12);
+        let mut oracle = Runner::new().oracle(Backend::profile(profile.graphs()));
         let dmiss = oracle.cost(EventSet::single(EventClass::Dmiss));
         assert!(dmiss > 0, "mcf dmiss cost must be large, got {dmiss}");
         assert_eq!(oracle.cost(EventSet::EMPTY), 0);
@@ -188,13 +144,10 @@ mod tests {
         // The headline Table 7 claim: the profiler's breakdown tracks the
         // full-graph analysis. Check the dominant category for mcf in
         // percentage terms.
-        let cfg = MachineConfig::table6();
-        let w = generate(BenchProfile::by_name("mcf").expect("mcf"), 30_000, 17);
-        let result = Simulator::new(&cfg).run(&w.trace, Idealization::none());
-        let graph = uarch_graph::DepGraph::build(&w.trace, &result, &cfg);
-        let mut full = icost::GraphOracle::new(&graph);
-        let samples = collect_samples(&w.trace, &result, &SamplerConfig::default());
-        let mut prof = ProfilerOracle::new(&samples, &w.program, &cfg, 16, 5);
+        let (profile, graph) = build_profile("mcf", 30_000, 16);
+        let runner = Runner::new();
+        let mut full = runner.oracle(Backend::graph(&graph));
+        let mut prof = runner.oracle(Backend::profile(profile.graphs()));
         let set = EventSet::single(EventClass::Dmiss);
         let full_pct = full.cost_percent(set);
         let prof_pct = prof.cost_percent(set);

@@ -22,10 +22,13 @@
 //!
 //! This crate models that pipeline end to end: [`collect_samples`] plays
 //! the role of the hardware monitors (fed by the simulator's records),
-//! [`reconstruct`] is the software algorithm, and [`ProfilerOracle`]
-//! exposes the fragment ensemble as a [`CostOracle`](icost::CostOracle)
-//! so every breakdown in the `icost` crate works unchanged on profiled
-//! data.
+//! [`reconstruct`] is the software algorithm, and [`Profile`] is the
+//! randomly picked fragment ensemble. The crate computes no costs: the
+//! runner's graph backend takes an ensemble of graphs, so
+//! `runner.oracle(Backend::profile(profile.graphs()))` answers `cost(S)`
+//! as the sum over fragments with the same lane kernel, cache, ledger
+//! and telemetry as one simulator-built graph, and every breakdown in
+//! the `icost` crate works unchanged on profiled data.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +38,7 @@ mod reconstruct;
 mod sampler;
 mod signature;
 
-pub use estimate::ProfilerOracle;
+pub use estimate::Profile;
 pub use reconstruct::{reconstruct, Fragment, ReconstructError, ReconstructStats};
 pub use sampler::{collect_samples, DetailedSample, SamplerConfig, Samples, SignatureSample};
 pub use signature::{signature_bits, SigBits};

@@ -3,8 +3,9 @@
 //!
 //! The paper measures one quantity, `cost(S) = t − t(S)`, two ways: by
 //! re-simulating with the events in `S` idealized (the ground truth), and
-//! by idealizing the matching edges of the dependence graph (§3). An
-//! oracle does everything around that measurement the same way for both
+//! by idealizing the matching edges of the dependence graph (§3), of one
+//! graph or summed over a shotgun profile's fragments (§5.2). An oracle
+//! does everything around that measurement the same way for both
 //! [`Backend`]s:
 //!
 //! * a [`ContextId`] naming what the answers depend on;
@@ -12,9 +13,9 @@
 //!   the only memo, so oracles over equal contexts (or, with a disk
 //!   cache, later processes) reuse each other's answers;
 //! * one [`parallel_map`] wave over the residue: simulation jobs, or lane
-//!   groups of at most [`MAX_LANES`] sets swept by the graph kernel
-//!   ([`DepGraph::eval_many_with`], bit-identical to per-set
-//!   [`DepGraph::evaluate`]);
+//!   groups of at most [`MAX_LANES`] sets swept by the graph kernel over
+//!   each graph of the ensemble ([`DepGraph::eval_many_with`],
+//!   bit-identical to per-set [`DepGraph::evaluate`]);
 //! * `runner.*`/`sim.stall.*` counters, viewed as a [`RunReport`], plus
 //!   `graph.*` lane counters on the graph backend;
 //! * one run-header record and one job record per answered set in the
@@ -22,8 +23,8 @@
 //!   regression gate compares.
 //!
 //! Only the evaluation step branches on the backend. The graph's `∅`
-//! baseline is one scalar [`DepGraph::evaluate`] on a cache miss: not a
-//! lane, not a counted evaluation, and not a ledgered job.
+//! baseline is one scalar [`DepGraph::evaluate`] per graph on a cache
+//! miss: not a lane, not a counted evaluation, and not a ledgered job.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
@@ -72,13 +73,13 @@ pub enum Backend<'a> {
         /// [`Backend::sim_warmed`] computes it.
         ctx: ContextId,
     },
-    /// The dependence graph with `S`'s edges idealized, answers keyed by
-    /// `ctx`: [`graph_context_id`] for the graph's content, or the
-    /// producing simulation context's graph key ([`Backend::graph_of`]).
+    /// Dependence graphs with `S`'s edges idealized, `t(S)` summed over
+    /// them: one graph ([`Backend::graph`], [`Backend::graph_of`]) or a
+    /// shotgun profile's fragments ([`Backend::profile`]).
     Graph {
-        /// The graph under analysis.
-        graph: &'a DepGraph,
-        /// The cache key for this graph's answers.
+        /// The graphs under analysis.
+        graphs: &'a [DepGraph],
+        /// The cache key for these graphs' answers.
         ctx: ContextId,
     },
 }
@@ -112,8 +113,20 @@ impl<'a> Backend<'a> {
     /// The graph kernel, keyed by the graph's content.
     pub fn graph(graph: &'a DepGraph) -> Backend<'a> {
         Backend::Graph {
-            graph,
+            graphs: std::slice::from_ref(graph),
             ctx: graph_context_id(graph),
+        }
+    }
+
+    /// The graph kernel over a shotgun profile's fragment graphs: every
+    /// `t(S)` is the ensemble's sum, keyed by the fragments' content in
+    /// pick order (a fragment picked twice counts twice).
+    pub fn profile(graphs: &'a [DepGraph]) -> Backend<'a> {
+        let mut h = StableHasher::default();
+        graphs.iter().for_each(|g| g.fingerprint().hash(&mut h));
+        Backend::Graph {
+            graphs,
+            ctx: ContextId(h.finish()).tagged("profile"),
         }
     }
 
@@ -123,7 +136,7 @@ impl<'a> Backend<'a> {
     /// however the graph was rebuilt.
     pub fn graph_of<'g>(&self, graph: &'g DepGraph) -> Backend<'g> {
         Backend::Graph {
-            graph,
+            graphs: std::slice::from_ref(graph),
             ctx: self.ctx().graph(),
         }
     }
@@ -138,7 +151,7 @@ impl<'a> Backend<'a> {
     fn insts(&self) -> usize {
         match self {
             Backend::Sim { trace, .. } => trace.len(),
-            Backend::Graph { graph, .. } => graph.len(),
+            Backend::Graph { graphs, .. } => graphs.iter().map(DepGraph::len).sum(),
         }
     }
 
@@ -155,7 +168,7 @@ struct LaneMetrics {
     registry: Registry,
     /// Subsets answered by the lane kernel.
     lanes: Counter,
-    /// Kernel passes over the instruction stream (one per lane group).
+    /// Kernel passes over a graph (one per lane group and graph).
     sweeps: Counter,
     requested: Counter,
     deduped: Counter,
@@ -416,28 +429,32 @@ impl<'a> Oracle<'a> {
                     }
                 })
             }
-            Backend::Graph { graph, .. } => {
+            Backend::Graph { graphs, .. } => {
                 let lanes: Vec<EventSet> = jobs.iter().copied().filter(|s| !s.is_empty()).collect();
                 let groups: Vec<&[EventSet]> = lanes.chunks(MAX_LANES).collect();
                 let start = Instant::now();
                 let times = parallel_map(&groups, self.threads, |group| {
-                    match self.scratch.try_lock() {
-                        Ok(mut scratch) => graph.eval_many_with(group, &mut scratch),
-                        Err(_) => graph.eval_many(group),
+                    let (mut shared, mut own) = (self.scratch.try_lock().ok(), LaneScratch::new());
+                    let scratch = shared.as_deref_mut().unwrap_or(&mut own);
+                    let mut sweeps = graphs.iter().map(|g| g.eval_many_with(group, scratch));
+                    let mut sums = sweeps.next().unwrap_or_else(|| vec![0; group.len()]);
+                    for times in sweeps {
+                        sums.iter_mut().zip(times).for_each(|(acc, t)| *acc += t);
                     }
+                    sums
                 })
                 .concat();
                 let wall = start.elapsed();
                 self.lanes.lanes.add(lanes.len() as u64);
                 self.lanes.evaluated.add(lanes.len() as u64);
-                self.lanes.sweeps.add(groups.len() as u64);
+                self.lanes.sweeps.add((groups.len() * graphs.len()) as u64);
                 Metrics::add_wall(&self.lanes.eval_wall_us, wall);
                 let per_lane = wall / (lanes.len() as u32).max(1);
                 let mut times = times.into_iter();
                 jobs.iter()
                     .map(|set| Eval {
                         cycles: if set.is_empty() {
-                            graph.evaluate(EventSet::EMPTY)
+                            graphs.iter().map(|g| g.evaluate(EventSet::EMPTY)).sum()
                         } else {
                             times.next().expect("one time per lane")
                         },
@@ -654,6 +671,31 @@ mod tests {
         let snap = lattice.graph_metrics().snapshot();
         assert_eq!(snap.counter("graph.sweeps"), 16);
         assert_eq!(snap.counter("graph.batch.memo_hits"), 257);
+    }
+
+    #[test]
+    fn profile_sums_its_fragments_under_its_own_key() {
+        let cfg = MachineConfig::table6();
+        let g = graph(&cfg);
+        let runner = Runner::new().with_threads(1);
+        let mut one = runner.oracle(Backend::graph(&g));
+        let pair = [g.clone(), g.clone()];
+        let mut twice = runner.oracle(Backend::profile(&pair));
+        // Duplicate picks count, and the ensemble never reads the single
+        // graph's cache entries.
+        let d = EventSet::single(EventClass::Dmiss);
+        assert_eq!(twice.cost(d), 2 * one.cost(d));
+        assert_eq!(twice.report().cache_hits, 0);
+        assert_eq!(twice.baseline(), 2 * one.baseline());
+        assert_ne!(Backend::profile(&pair[..1]).ctx(), Backend::graph(&g).ctx());
+        assert_ne!(Backend::profile(&pair[..1]).ctx(), twice.context());
+        twice.prefetch(&all_subsets());
+        let snap = twice.graph_metrics().snapshot();
+        assert_eq!(
+            snap.counter("graph.sweeps"),
+            2 * 16 + 2,
+            "per group and graph"
+        );
     }
 
     // Ledger-record coverage lives in `tests/graph_ledger.rs` (it must

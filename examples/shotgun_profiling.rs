@@ -10,8 +10,9 @@
 //! Run with: `cargo run --release --example shotgun_profiling`
 
 use icost::{Breakdown, CostOracle, GraphOracle};
-use shotgun::{collect_samples, reconstruct, ProfilerOracle, SamplerConfig};
+use shotgun::{collect_samples, reconstruct, Profile, SamplerConfig};
 use uarch_graph::DepGraph;
+use uarch_runner::{Backend, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, MachineConfig};
 use uarch_workloads::{generate, BenchProfile};
@@ -53,13 +54,14 @@ fn main() {
         }
     );
 
-    // 3. The full ensemble as a cost oracle.
-    let mut prof = ProfilerOracle::new(&samples, &w.program, &cfg, 16, 42);
+    // 3. The full ensemble, answered like one graph: t(S) sums over it.
+    let profile = Profile::new(&samples, &w.program, &cfg, 16, 42);
     println!(
         "ensemble: {} fragments ({} skeleton picks discarded)",
-        prof.fragment_count(),
-        prof.discarded()
+        profile.fragment_count(),
+        profile.discarded()
     );
+    let mut prof = Runner::new().oracle(Backend::profile(profile.graphs()));
     let profiled = Breakdown::with_focus(&mut prof, &EventClass::ALL, EventClass::Dl1);
 
     // 4. Compare with the full simulator-built graph (which a deployed

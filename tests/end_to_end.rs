@@ -2,8 +2,9 @@
 //! graph → interaction-cost analysis → shotgun profiling, across crates.
 
 use icost::{icost, Breakdown, CostOracle, GraphOracle, Interaction, MultiSimOracle};
-use shotgun::{collect_samples, ProfilerOracle, SamplerConfig};
+use shotgun::{collect_samples, Profile, SamplerConfig};
 use uarch_graph::DepGraph;
+use uarch_runner::{Backend, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
 use uarch_workloads::{generate, parallel_misses, serial_misses_parallel_alu, BenchProfile};
@@ -106,8 +107,10 @@ fn profiler_matches_fullgraph_on_dominant_category() {
     let w = generate(BenchProfile::by_name("mcf").expect("known"), 25_000, 9);
     let (r, g) = observe(&w, &cfg);
     let samples = collect_samples(&w.trace, &r, &SamplerConfig::default());
-    let mut prof = ProfilerOracle::new(&samples, &w.program, &cfg, 12, 3);
-    let mut full = GraphOracle::new(&g);
+    let profile = Profile::new(&samples, &w.program, &cfg, 12, 3);
+    let runner = Runner::new();
+    let mut prof = runner.oracle(Backend::profile(profile.graphs()));
+    let mut full = runner.oracle(Backend::graph(&g));
     let dmiss = EventSet::single(EventClass::Dmiss);
     let (pp, fp) = (prof.cost_percent(dmiss), full.cost_percent(dmiss));
     assert!(

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 
 use icost::{icost, CostOracle, GraphOracle};
 use uarch_graph::{DepGraph, GraphInst, GraphParams, ProducerEdge};
+use uarch_runner::{Backend, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig, OpClass, Reg, Trace, TraceBuilder};
 
@@ -133,6 +134,44 @@ proptest! {
             s.attributed() + graph.params().front_end_depth,
             s.total
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The algebra holds on the runner's graph backend over an ensemble
+    /// of graphs (a shotgun profile's shape): `cost(∅) = 0`, the Möbius
+    /// identity, and every answer is the direct per-graph sum
+    /// `Σ_g (t_g(∅) − t_g(S))`, across more lane groups than one sweep
+    /// holds.
+    #[test]
+    fn ensemble_backend_keeps_the_algebra(
+        graphs in prop::collection::vec(arb_graph(), 1..=4),
+    ) {
+        let mut oracle = Runner::new().oracle(Backend::profile(&graphs));
+        prop_assert_eq!(oracle.cost(EventSet::EMPTY), 0);
+        let every: Vec<EventSet> = EventSet::ALL.subsets().collect();
+        oracle.prefetch(&every);
+        for &s in &every {
+            let direct: i64 = graphs
+                .iter()
+                .map(|g| g.evaluate(EventSet::EMPTY) as i64 - g.evaluate(s) as i64)
+                .sum();
+            prop_assert_eq!(oracle.cost(s), direct, "set {}", s);
+        }
+        let u = EventSet::from([
+            EventClass::Dl1,
+            EventClass::Dmiss,
+            EventClass::Bmisp,
+            EventClass::Win,
+        ]);
+        let total: i64 = u
+            .subsets()
+            .filter(|s| !s.is_empty())
+            .map(|s| icost(&mut oracle, s))
+            .sum();
+        prop_assert_eq!(total, oracle.cost(u));
     }
 }
 
