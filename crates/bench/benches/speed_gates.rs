@@ -12,7 +12,8 @@
 //!
 //! Sizes: the engine and lane-kernel sections run at
 //! `ICOST_BENCH_INSTS` (default 60k); the runner and serve sections
-//! replay a >100-simulation pair sweep, so they default to 12k.
+//! replay a >100-simulation pair sweep, so they (and the warm-set
+//! section beside them) default to 12k.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -29,7 +30,7 @@ use uarch_obs::{global, install_global, Tracer};
 use uarch_runner::{Query, RunReport, Runner};
 use uarch_serve::{ServeContext, ServeHost, Server};
 use uarch_sim::{EngineMode, Idealization, SimResult, Simulator};
-use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, Trace, TraceBuilder};
+use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, Trace, TraceBuilder, WarmSet};
 use uarch_workloads::{generate, pointer_chase, BenchProfile, Workload};
 
 /// Best-of-`reps` wall time of one closure; the minimum is the least
@@ -59,11 +60,20 @@ fn bit_identical(a: &SimResult, b: &SimResult) -> bool {
     a.cycles == b.cycles && a.counts == b.counts && a.stalls == b.stalls && a.records == b.records
 }
 
-/// Timed runs of each engine mode in [`race`].
+/// Timed samples of each engine mode in [`race`].
 const RACE_REPS: usize = 15;
+
+/// The shortest timed sample in [`race`]: a run shorter than this
+/// repeats within its sample (the same count for both modes), so one
+/// scheduler hiccup is a small share of any sample.
+const RACE_SAMPLE: Duration = Duration::from_millis(20);
 
 /// Passes of each side in the overhead and perturbation gates.
 const OVERHEAD_REPS: usize = 5;
+
+/// Passes of each side in the warm-set gate, and cached calls per pass.
+const WARM_PASSES: usize = 15;
+const WARM_CALLS: usize = 400;
 
 /// `reps` calls of each of `a` and `b`, alternating, with the side that
 /// goes first switching every round, so a burst of load on a shared
@@ -93,9 +103,10 @@ fn timed(f: impl FnOnce()) -> Duration {
     t0.elapsed()
 }
 
-/// Time both engines on one workload, gating bit-identity first. The
-/// modes [`alternate`]; returns the (ticking, events) medians of
-/// [`RACE_REPS`] runs each.
+/// Time both engines on one workload, gating bit-identity first.
+/// Returns the (ticking, events) per-run medians of [`RACE_REPS`]
+/// samples each; a sample is as many runs as make [`RACE_SAMPLE`], the
+/// modes' runs [`alternate`]d one by one.
 fn race(
     shape: &mut Shape,
     sim: &Simulator,
@@ -113,14 +124,27 @@ fn race(
         &format!("{what}: event engine bit-identical to ticking engine"),
         bit_identical(&ticking, &events),
     );
-    let (ticks, evs) = alternate(
-        RACE_REPS,
-        || timed(|| drop(run(EngineMode::Ticking))),
-        || timed(|| drop(run(EngineMode::Events))),
-    );
+    let one_run =
+        timed(|| drop(run(EngineMode::Ticking))).min(timed(|| drop(run(EngineMode::Events))));
+    let runs = ((RACE_SAMPLE.as_secs_f64() / one_run.as_secs_f64().max(1e-9)).ceil() as u32).max(1);
+    // Each sample is `runs` runs of its mode, the two modes' runs
+    // alternating one by one, so a burst of host load lands on both.
+    let (ticks, evs): (Vec<Duration>, Vec<Duration>) = (0..RACE_REPS)
+        .map(|_| {
+            let (t, e) = alternate(
+                runs as usize,
+                || timed(|| drop(run(EngineMode::Ticking))),
+                || timed(|| drop(run(EngineMode::Events))),
+            );
+            (
+                t.iter().sum::<Duration>() / runs,
+                e.iter().sum::<Duration>() / runs,
+            )
+        })
+        .unzip();
     let (t_tick, t_ev) = (median(ticks), median(evs));
     println!(
-        "{what:<28} ticking {t_tick:>8.2?}  events {t_ev:>8.2?}  ({:.2}x, skipped {}/{} cycles)",
+        "{what:<28} ticking {t_tick:>8.2?}  events {t_ev:>8.2?}  ({:.2}x, skipped {}/{} cycles, {runs} runs per sample)",
         t_tick.as_secs_f64() / t_ev.as_secs_f64().max(1e-9),
         events.engine.skipped_cycles,
         ticking.cycles,
@@ -307,6 +331,63 @@ fn runner(shape: &mut Shape, w: &Workload, cfg: &MachineConfig) {
     );
 }
 
+/// A cached single-query `run_warmed` call against the same call with
+/// both warm sets 8x as long (seven more copies at distinct addresses):
+/// fingerprinting the context must not walk the warm sets again once
+/// they have been folded.
+fn warm_sets(shape: &mut Shape, w: &Workload, cfg: &MachineConfig) {
+    let widen = |set: &WarmSet| -> WarmSet {
+        (0..8u64)
+            .flat_map(|copy| set.iter().map(move |&a| a + (copy << 40)))
+            .collect::<Vec<u64>>()
+            .into()
+    };
+    let (wide_data, wide_code) = (widen(&w.warm_data), widen(&w.warm_code));
+    println!(
+        "Warm sets — cached run_warmed calls, gcc @ {} insts, {} vs {} warm addresses \
+         (medians of {WARM_PASSES} passes of {WARM_CALLS} calls)\n",
+        w.trace.len(),
+        w.warm_data.len() + w.warm_code.len(),
+        wide_data.len() + wide_code.len(),
+    );
+    let runner = Runner::new();
+    let query = [Query::Cost(EventSet::single(EventClass::Dmiss))];
+    let call =
+        |data: &WarmSet, code: &WarmSet| runner.run_warmed(cfg, &w.trace, data, code, &query);
+    let (own_answer, _) = call(&w.warm_data, &w.warm_code);
+    let (wide_answer, _) = call(&wide_data, &wide_code);
+    // (every call answered `want` from the cache, pass wall time)
+    let pass = |data: &WarmSet, code: &WarmSet, want: &[i64]| {
+        let mut cached = true;
+        let wall = timed(|| {
+            for _ in 0..WARM_CALLS {
+                let (answers, report) = call(data, code);
+                cached &= answers == want && report.sims_run == 0;
+            }
+        });
+        (cached, wall)
+    };
+    let (own, wide) = alternate(
+        WARM_PASSES,
+        || pass(&w.warm_data, &w.warm_code, &own_answer),
+        || pass(&wide_data, &wide_code, &wide_answer),
+    );
+    let per_call =
+        |passes: &[(bool, Duration)]| median(passes.iter().map(|p| p.1)) / WARM_CALLS as u32;
+    let (t_own, t_wide) = (per_call(&own), per_call(&wide));
+    let ratio = t_wide.as_secs_f64() / t_own.as_secs_f64().max(1e-9);
+    println!("own warm sets: {t_own:>10.2?} per cached call");
+    println!("8x warm sets:  {t_wide:>10.2?} per cached call  ({ratio:.2}x)\n");
+    shape.check(
+        "cached calls answer from the cache, as the first call did",
+        own.iter().chain(&wide).all(|p| p.0),
+    );
+    shape.check(
+        "a cached call with 8x the warm addresses costs at most 1.5x",
+        ratio <= 1.5,
+    );
+}
+
 /// Send one request to `addr` (with extra header lines, each ending
 /// `\r\n`) and return the full response; the server closes after each.
 fn request(addr: SocketAddr, method: &str, path: &str, extra: &str, body: &str) -> String {
@@ -487,6 +568,7 @@ fn main() -> ExitCode {
     engine(&mut shape, bench_insts());
     global().set_enabled(false);
     runner(&mut shape, &w, &cfg);
+    warm_sets(&mut shape, &w, &cfg);
 
     println!("ledger written to {}\n", ledger_path.display());
     if shape.finish("Speed gates") {

@@ -25,14 +25,15 @@
 //! use uarch_runner::{Query, Runner};
 //! use uarch_sim::{Idealization, Simulator};
 //! use uarch_graph::DepGraph;
-//! use uarch_trace::{EventClass, EventSet, MachineConfig, TraceBuilder};
+//! use uarch_trace::{EventClass, EventSet, MachineConfig, TraceBuilder, WarmSet};
 //!
 //! let config = MachineConfig::table6();
 //! let trace = TraceBuilder::new().finish();
 //! let baseline = Simulator::new(&config).run(&trace, Idealization::none());
 //! let graph = DepGraph::build(&trace, &baseline, &config);
 //! let runner = Runner::new();
-//! let mut planner = Planner::new(&runner, &config, &trace, &[], &[], &graph);
+//! let cold = WarmSet::new();
+//! let mut planner = Planner::new(&runner, &config, &trace, &cold, &cold, &graph);
 //! let (answers, report) = planner.plan(&[
 //!     Query::Cost(EventSet::single(EventClass::Dmiss)),
 //! ]);

@@ -40,7 +40,7 @@ use uarch_graph::DepGraph;
 use uarch_obs::ledger::{CalibRecord, LedgerRecord, PlanRecord};
 use uarch_obs::{Counter, Histogram, Registry};
 use uarch_runner::{Backend, ContextId, Query, RunReport, Runner, SimCache};
-use uarch_trace::{EventClass, EventSet, MachineConfig, Trace};
+use uarch_trace::{EventClass, EventSet, MachineConfig, Trace, WarmSet};
 
 use crate::calibrate::Calibrator;
 
@@ -313,8 +313,8 @@ impl<'a> Planner<'a> {
         runner: &Runner,
         config: &'a MachineConfig,
         trace: &'a Trace,
-        warm_data: &'a [u64],
-        warm_code: &'a [u64],
+        warm_data: &'a WarmSet,
+        warm_code: &'a WarmSet,
         graph: &'a DepGraph,
     ) -> Planner<'a> {
         let sim = Backend::sim_warmed(config, trace, warm_data, warm_code);

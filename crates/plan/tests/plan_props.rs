@@ -12,7 +12,7 @@ use uarch_graph::DepGraph;
 use uarch_plan::{PlanProvenance, Planner};
 use uarch_runner::{Query, Runner};
 use uarch_sim::{Idealization, Simulator};
-use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, Trace, TraceBuilder};
+use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, Trace, TraceBuilder, WarmSet};
 
 /// Build a trace from a script of `(opcode, value)` pairs (same
 /// generator the runner equivalence suite uses: reaches misses, hits,
@@ -70,16 +70,17 @@ proptest! {
         let cfg = MachineConfig::table6();
         let trace = build_trace(&script);
         let queries = batch(event_set(&picks));
+        let cold = WarmSet::new();
 
         let runner = Runner::new().with_threads(2);
         let baseline = Simulator::new(&cfg).run(&trace, Idealization::none());
         let graph = DepGraph::build(&trace, &baseline, &cfg);
-        let (planned, _) = Planner::new(&runner, &cfg, &trace, &[], &[], &graph).plan(&queries);
+        let (planned, _) = Planner::new(&runner, &cfg, &trace, &cold, &cold, &graph).plan(&queries);
 
         // Ground truth from an independent runner (fresh cache), so the
         // comparison cannot be satisfied by shared state.
         let truth_runner = Runner::new().with_threads(2);
-        let (truth, _) = truth_runner.run_warmed(&cfg, &trace, &[], &[], &queries);
+        let (truth, _) = truth_runner.run_warmed(&cfg, &trace, &cold, &cold, &queries);
 
         prop_assert_eq!(planned.len(), truth.len());
         for (p, &t) in planned.iter().zip(&truth) {
@@ -104,18 +105,19 @@ proptest! {
         let cfg = MachineConfig::table6();
         let trace = build_trace(&script);
         let queries = batch(event_set(&picks));
+        let cold = WarmSet::new();
 
         let runner = Runner::new().with_threads(2);
         let baseline = Simulator::new(&cfg).run(&trace, Idealization::none());
         let graph = DepGraph::build(&trace, &baseline, &cfg);
-        let mut planner = Planner::new(&runner, &cfg, &trace, &[], &[], &graph);
+        let mut planner = Planner::new(&runner, &cfg, &trace, &cold, &cold, &graph);
         let singles: Vec<EventSet> = EventClass::ALL.iter().copied().map(EventSet::single).collect();
         planner.calibrate(&singles);
         prop_assert!(planner.fitted_tolerance().is_some(), "calibrated");
 
         let (planned, _) = planner.plan(&queries);
         let truth_runner = Runner::new().with_threads(2);
-        let (truth, _) = truth_runner.run_warmed(&cfg, &trace, &[], &[], &queries);
+        let (truth, _) = truth_runner.run_warmed(&cfg, &trace, &cold, &cold, &queries);
         prop_assert_eq!(planned.len(), truth.len());
         for (p, &t) in planned.iter().zip(&truth) {
             if p.provenance != PlanProvenance::Graph {

@@ -8,7 +8,7 @@ use uarch_graph::DepGraph;
 use uarch_plan::{PlanProvenance, PlanReason, Planner};
 use uarch_runner::{Query, Runner};
 use uarch_sim::{Idealization, Simulator};
-use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, TraceBuilder};
+use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, TraceBuilder, WarmSet};
 
 #[test]
 fn refuted_contexts_force_ground_truth() {
@@ -22,7 +22,8 @@ fn refuted_contexts_force_ground_truth() {
     let baseline = Simulator::new(&config).run(&trace, Idealization::none());
     let graph = DepGraph::build(&trace, &baseline, &config);
     let runner = Runner::new();
-    let mut planner = Planner::new(&runner, &config, &trace, &[], &[], &graph);
+    let cold = WarmSet::new();
+    let mut planner = Planner::new(&runner, &config, &trace, &cold, &cold, &graph);
 
     // Calibrate so the pair would normally be eligible for graph
     // serving: one residual per class is the planner's minimum of 8.

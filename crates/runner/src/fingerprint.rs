@@ -12,10 +12,12 @@
 //! the optional on-disk cache layer safe to reuse between processes.
 //!
 //! A [`Trace`] and a [`DepGraph`](uarch_graph::DepGraph) each fingerprint
-//! their content once, on first use, and keep the value (clones too), so
-//! deriving a context id after the first is O(config + warm sets), not
-//! O(instructions). [`context_id`] folds in the trace's 64-bit
-//! fingerprint; [`graph_context_id`] is the graph's fingerprint tagged
+//! their content once, on first use, and keep the value (clones too), and
+//! a [`WarmSet`] remembers its first fold into the hasher, so deriving a
+//! context id again is O(config), not O(instructions + warm addresses).
+//! [`context_id`] folds in the trace's 64-bit fingerprint and then the
+//! warm sets' bytes (the memo replays them, so ids are the same as a
+//! plain walk's); [`graph_context_id`] is the graph's fingerprint tagged
 //! `"graph"`. Simulation context ids changed once with this scheme (they
 //! used to walk the instructions after the config); graph context ids
 //! did not, and job result hashes never depend on either. Disk-cache
@@ -24,7 +26,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use uarch_trace::{MachineConfig, StableHasher, Trace};
+use uarch_trace::{MachineConfig, StableHasher, Trace, WarmSet};
 
 /// Identifies one simulation context: `(trace, config, warm sets)`.
 ///
@@ -71,19 +73,20 @@ pub fn graph_context_id(graph: &uarch_graph::DepGraph) -> ContextId {
     ContextId(graph.fingerprint()).graph()
 }
 
-/// Fingerprint a full simulation context. O(1) in the trace's length
-/// once the trace has been fingerprinted.
+/// Fingerprint a full simulation context. O(config) once the trace has
+/// been fingerprinted and the warm sets have folded once under this
+/// config and trace.
 pub fn context_id(
     config: &MachineConfig,
     trace: &Trace,
-    warm_data: &[u64],
-    warm_code: &[u64],
+    warm_data: &WarmSet,
+    warm_code: &WarmSet,
 ) -> ContextId {
     let mut h = StableHasher::default();
     config.hash(&mut h);
     trace.fingerprint().hash(&mut h);
-    warm_data.hash(&mut h);
-    warm_code.hash(&mut h);
+    warm_data.fold_into(&mut h);
+    warm_code.fold_into(&mut h);
     ContextId(h.finish())
 }
 
@@ -91,6 +94,14 @@ pub fn context_id(
 mod tests {
     use super::*;
     use uarch_trace::{Reg, TraceBuilder};
+
+    fn cold() -> WarmSet {
+        WarmSet::new()
+    }
+
+    fn warm(addrs: &[u64]) -> WarmSet {
+        WarmSet::from(addrs.to_vec())
+    }
 
     fn trace(n: u64) -> Trace {
         let mut b = TraceBuilder::new();
@@ -103,28 +114,68 @@ mod tests {
     #[test]
     fn equal_inputs_share_a_context() {
         let cfg = MachineConfig::table6();
-        let a = context_id(&cfg, &trace(5), &[], &[]);
-        let b = context_id(&cfg.clone(), &trace(5), &[], &[]);
+        let a = context_id(&cfg, &trace(5), &cold(), &cold());
+        let b = context_id(&cfg.clone(), &trace(5), &cold(), &cold());
         assert_eq!(a, b);
     }
 
     #[test]
     fn any_input_change_moves_the_context() {
         let cfg = MachineConfig::table6();
-        let base = context_id(&cfg, &trace(5), &[], &[]);
-        assert_ne!(base, context_id(&cfg, &trace(6), &[], &[]));
+        let base = context_id(&cfg, &trace(5), &cold(), &cold());
+        assert_ne!(base, context_id(&cfg, &trace(6), &cold(), &cold()));
         assert_ne!(
             base,
-            context_id(&cfg.clone().with_dl1_latency(4), &trace(5), &[], &[])
+            context_id(
+                &cfg.clone().with_dl1_latency(4),
+                &trace(5),
+                &cold(),
+                &cold()
+            )
         );
-        assert_ne!(base, context_id(&cfg, &trace(5), &[0x1000], &[]));
-        assert_ne!(base, context_id(&cfg, &trace(5), &[], &[0x1000]));
+        assert_ne!(base, context_id(&cfg, &trace(5), &warm(&[0x1000]), &cold()));
+        assert_ne!(base, context_id(&cfg, &trace(5), &cold(), &warm(&[0x1000])));
+    }
+
+    /// Ids from before warm sets memoized their fold, when every call
+    /// walked them as plain slices: the memo replays the same bytes, so
+    /// disk caches and ledgers keep their keys.
+    #[test]
+    fn context_ids_match_the_plain_walk() {
+        use uarch_workloads::{generate, BenchProfile};
+        let cfg = MachineConfig::table6();
+        let slow_l1 = cfg.clone().with_dl1_latency(4);
+        let gzip = generate(BenchProfile::by_name("gzip").unwrap(), 2_000, 7);
+        let mcf = generate(BenchProfile::by_name("mcf").unwrap(), 2_000, 7);
+        // mcf's sets first fold under another config, so the pinned
+        // context below walks them with a memo already in place.
+        context_id(&cfg, &mcf.trace, &mcf.warm_data, &mcf.warm_code);
+        let small = warm(&[0x1000]);
+        for round in ["first fold", "memoized"] {
+            let ids = [
+                context_id(&cfg, &gzip.trace, &cold(), &cold()),
+                context_id(&cfg, &gzip.trace, &gzip.warm_data, &gzip.warm_code),
+                context_id(&slow_l1, &mcf.trace, &mcf.warm_data, &mcf.warm_code),
+                context_id(&cfg, &trace(5), &small, &cold()),
+            ];
+            let hex: Vec<String> = ids.iter().map(ContextId::to_string).collect();
+            assert_eq!(
+                hex,
+                [
+                    "64ea02e8982a7940",
+                    "0369041e5549a46b",
+                    "6014e498e39b5885",
+                    "0f68c7a8bb2e0be3"
+                ],
+                "{round}"
+            );
+        }
     }
 
     #[test]
     fn tags_separate_methods() {
         let cfg = MachineConfig::table6();
-        let base = context_id(&cfg, &trace(5), &[], &[]);
+        let base = context_id(&cfg, &trace(5), &cold(), &cold());
         assert_ne!(base, base.tagged("graph"));
         assert_ne!(base.tagged("graph"), base.tagged("profiler"));
         assert_eq!(base.tagged("graph"), base.tagged("graph"));
@@ -134,12 +185,12 @@ mod tests {
     fn fingerprinting_is_transparent_to_clones_and_equality() {
         let cfg = MachineConfig::table6();
         let hashed = trace(100);
-        let id = context_id(&cfg, &hashed, &[], &[]);
+        let id = context_id(&cfg, &hashed, &cold(), &cold());
         let copy = hashed.clone();
-        assert_eq!(context_id(&cfg, &copy, &[], &[]), id);
+        assert_eq!(context_id(&cfg, &copy, &cold(), &cold()), id);
         let fresh = trace(100);
         assert_eq!(hashed, fresh, "a computed fingerprint is not content");
-        assert_eq!(context_id(&cfg, &fresh, &[], &[]), id);
+        assert_eq!(context_id(&cfg, &fresh, &cold(), &cold()), id);
     }
 
     #[test]
@@ -150,8 +201,8 @@ mod tests {
         insts[7_321].mem_addr ^= 0x40;
         let moved = Trace::from_insts(insts);
         assert_ne!(
-            context_id(&cfg, &base, &[], &[]),
-            context_id(&cfg, &moved, &[], &[])
+            context_id(&cfg, &base, &cold(), &cold()),
+            context_id(&cfg, &moved, &cold(), &cold())
         );
     }
 

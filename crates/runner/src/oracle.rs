@@ -35,7 +35,7 @@ use uarch_graph::{DepGraph, LaneScratch, MAX_LANES};
 use uarch_obs::ledger::{unix_time_ms, JobRecord, Ledger, LedgerRecord, Provenance, RunHeader};
 use uarch_obs::{global, Counter, Registry};
 use uarch_sim::{EngineStats, Idealization, PipelineStalls, Simulator};
-use uarch_trace::{EventSet, MachineConfig, StableHasher, Trace};
+use uarch_trace::{EventSet, MachineConfig, StableHasher, Trace, WarmSet};
 
 use crate::cache::SimCache;
 use crate::fingerprint::{context_id, graph_context_id, ContextId};
@@ -87,14 +87,15 @@ pub enum Backend<'a> {
 impl<'a> Backend<'a> {
     /// Re-simulation after warming `warm_data`/`warm_code`: the one
     /// constructor that fingerprints a simulation context. The trace
-    /// keeps its own fingerprint, so after the first call this costs
-    /// O(warm sets), not O(insts); a long-lived owner may still keep the
-    /// result (or its [`Backend::ctx`]) to skip even that.
+    /// keeps its own fingerprint and the warm sets their fold, so after
+    /// the first call this costs O(config), not O(insts + warm sets); a
+    /// long-lived owner may still keep the result (or its
+    /// [`Backend::ctx`]) to skip even that.
     pub fn sim_warmed(
         config: &'a MachineConfig,
         trace: &'a Trace,
-        warm_data: &'a [u64],
-        warm_code: &'a [u64],
+        warm_data: &'a WarmSet,
+        warm_code: &'a WarmSet,
     ) -> Backend<'a> {
         Backend::Sim {
             config,
@@ -107,7 +108,8 @@ impl<'a> Backend<'a> {
 
     /// Re-simulation on a cold machine (no warm sets).
     pub fn sim(config: &'a MachineConfig, trace: &'a Trace) -> Backend<'a> {
-        Backend::sim_warmed(config, trace, &[], &[])
+        static COLD: WarmSet = WarmSet::new();
+        Backend::sim_warmed(config, trace, &COLD, &COLD)
     }
 
     /// The graph kernel, keyed by the graph's content.

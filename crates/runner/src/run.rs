@@ -18,7 +18,7 @@ use uarch_audit::audit_attribution;
 use uarch_graph::{Attribution, DepGraph, LaneScratch};
 use uarch_obs::ledger::LedgerRecord;
 use uarch_obs::{lock_unpoisoned, CounterSampler, COUNTER_INTERVAL};
-use uarch_trace::{EventSet, MachineConfig, Trace};
+use uarch_trace::{EventSet, MachineConfig, Trace, WarmSet};
 
 use crate::cache::SimCache;
 use crate::fingerprint::ContextId;
@@ -203,8 +203,8 @@ impl Runner {
         &self,
         config: &MachineConfig,
         trace: &Trace,
-        warm_data: &[u64],
-        warm_code: &[u64],
+        warm_data: &WarmSet,
+        warm_code: &WarmSet,
         queries: &[Query],
     ) -> (Vec<i64>, RunReport) {
         self.batch(

@@ -22,7 +22,7 @@ use uarch_obs::{prom, Counter, Gauge, Histogram, Registry};
 use uarch_plan::{assess, Calibrator, Planner};
 use uarch_runner::{context_id, ContextId, Query, RunReport, Runner};
 use uarch_sim::{Idealization, PipelineStalls, Simulator};
-use uarch_trace::{EventSet, MachineConfig, Trace};
+use uarch_trace::{EventSet, MachineConfig, Trace, WarmSet};
 
 use crate::causal::{span_tree_json, Receipt, ReceiptStore, RECEIPTS_MAX};
 use crate::http::Request;
@@ -39,9 +39,9 @@ pub struct ServeContext {
     /// The dynamic instruction trace under analysis.
     pub trace: Trace,
     /// Data addresses warmed before timing.
-    pub warm_data: Vec<u64>,
+    pub warm_data: WarmSet,
     /// Code addresses warmed before timing.
-    pub warm_code: Vec<u64>,
+    pub warm_code: WarmSet,
 }
 
 impl ServeContext {
@@ -51,8 +51,8 @@ impl ServeContext {
             name: name.into(),
             config,
             trace,
-            warm_data: Vec::new(),
-            warm_code: Vec::new(),
+            warm_data: WarmSet::new(),
+            warm_code: WarmSet::new(),
         }
     }
 }

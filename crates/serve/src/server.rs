@@ -9,12 +9,16 @@
 //! connection is handed to a dedicated thread (capped at
 //! [`MAX_SSE_CLIENTS`]; beyond that the request gets `503`) and the
 //! worker returns to `accept`. Every response closes its connection.
+//! A handler panic costs its request, not its worker: the worker counts
+//! it as an error, answers `500` if the client is still there, and
+//! returns to `accept`.
 //! Shutdown sets a stop flag, pokes the listener with dummy connects so
 //! blocked `accept` calls return, joins the pool, then waits for the
 //! SSE threads (which poll the flag every [`SSE_TICK`]) to drain.
 
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -173,7 +177,7 @@ fn accept_loop(
     sse: &Arc<SseSlots>,
 ) {
     while !stop.load(Ordering::SeqCst) {
-        let stream = match listener.accept() {
+        let mut stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) => {
                 std::thread::sleep(ACCEPT_ERROR_BACKOFF);
@@ -183,33 +187,37 @@ fn accept_loop(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        handle_connection(host, stream, stop, sse);
+        // The host's shared state survives an unwind: every lock it
+        // takes recovers from poisoning.
+        let handled = catch_unwind(AssertUnwindSafe(|| {
+            handle_connection(host, &mut stream, stop, sse)
+        }));
+        if handled.is_err() {
+            host.count_error();
+            let _ = http::write_response(&mut stream, 500, "text/plain", b"internal error\n");
+        }
     }
 }
 
-/// Serve one connection: parse the request, route it, respond, close.
-/// `GET /events` is the exception — it hands the stream to a dedicated
-/// thread so the accept-pool worker stays available.
+/// Serve one connection: parse the request, route it, respond; the
+/// caller closes it. `GET /events` is the exception — it hands the
+/// stream to a dedicated thread so the accept-pool worker stays
+/// available.
 fn handle_connection(
     host: &Arc<ServeHost>,
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     stop: &Arc<AtomicBool>,
     sse: &Arc<SseSlots>,
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let request = match http::read_request(&mut stream) {
+    let request = match http::read_request(stream) {
         Ok(request) => request,
         Err(ParseError::Eof) => return,
         Err(ParseError::Io(_)) => return,
         Err(ParseError::Malformed(msg)) => {
             host.count_request();
             host.count_error();
-            let _ = http::write_response(
-                &mut stream,
-                400,
-                "text/plain",
-                format!("{msg}\n").as_bytes(),
-            );
+            let _ = http::write_response(stream, 400, "text/plain", format!("{msg}\n").as_bytes());
             return;
         }
         Err(ParseError::TooLarge(what)) => {
@@ -217,7 +225,7 @@ fn handle_connection(
             host.count_error();
             let status = if what == "body" { 413 } else { 431 };
             let _ = http::write_response(
-                &mut stream,
+                stream,
                 status,
                 "text/plain",
                 format!("{what} too large\n").as_bytes(),
@@ -231,7 +239,7 @@ fn handle_connection(
         // ledger leaks workload structure just as surely as /query.
         host.count_error();
         let _ = http::write_response_with(
-            &mut stream,
+            stream,
             401,
             "text/plain",
             &[("WWW-Authenticate", "Bearer realm=\"icost-serve\"")],
@@ -267,7 +275,7 @@ fn handle_connection(
             vec![("trace", ctx.trace_hex())],
         )
     });
-    route(host, &mut stream, &request);
+    route(host, stream, &request);
 }
 
 /// Parse the `secs=` query parameter of `GET /profile`: how far back
@@ -296,7 +304,7 @@ fn parse_kinds_filter(query: Option<&str>) -> KindFilter {
 /// gets `503` and the worker moves on either way.
 fn spawn_sse(
     host: &Arc<ServeHost>,
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     stop: &Arc<AtomicBool>,
     sse: &Arc<SseSlots>,
     kinds: KindFilter,
@@ -309,27 +317,32 @@ fn spawn_sse(
         .is_ok();
     if !reserved {
         host.count_error();
-        let _ = http::write_response(&mut stream, 503, "text/plain", b"too many event streams\n");
+        let _ = http::write_response(stream, 503, "text/plain", b"too many event streams\n");
         return;
     }
     let thread_host = host.clone();
     let stop = stop.clone();
     let slots = sse.clone();
-    let spawned = std::thread::Builder::new()
-        .name("icost-serve-sse".into())
-        .spawn(move || {
-            stream_events(&thread_host, &mut stream, &stop, &kinds);
-            slots.active.fetch_sub(1, Ordering::SeqCst);
-        });
+    let spawned = stream.try_clone().and_then(|mut stream| {
+        std::thread::Builder::new()
+            .name("icost-serve-sse".into())
+            .spawn(move || {
+                stream_events(&thread_host, &mut stream, &stop, &kinds);
+                slots.active.fetch_sub(1, Ordering::SeqCst);
+            })
+    });
     if spawned.is_err() {
-        // The stream moved into the dropped closure, so the client just
-        // sees a close; what matters is releasing the reserved slot.
         sse.active.fetch_sub(1, Ordering::SeqCst);
         host.count_error();
+        let _ = http::write_response(stream, 503, "text/plain", b"cannot start event stream\n");
     }
 }
 
 fn route(host: &ServeHost, stream: &mut TcpStream, request: &Request) {
+    #[cfg(test)]
+    if request.path == tests::PANIC_PATH {
+        panic!("handler panic requested by a test");
+    }
     // Traced endpoints echo the request's trace binding so clients can
     // correlate without parsing the body.
     let trace_header = uarch_obs::causal::current().map(|ctx| ctx.header_value());
@@ -527,4 +540,81 @@ fn stream_events(host: &ServeHost, stream: &mut TcpStream, stop: &AtomicBool, ki
         }
     }
     host.sse_clients_delta(-1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use uarch_obs::json;
+    use uarch_runner::{Query, Runner};
+    use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, TraceBuilder};
+
+    use crate::host::ServeContext;
+
+    /// Requests for this path panic inside the handler.
+    pub(super) const PANIC_PATH: &str = "/test/panic";
+
+    /// Send one request and return `(status, body)`; status 0 when the
+    /// server closed without answering.
+    fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream
+            .write_all(format!("{head}{body}").as_bytes())
+            .expect("send");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        let status = response
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+        (status, body.to_string())
+    }
+
+    #[test]
+    fn a_handler_panic_costs_its_request_not_its_worker() {
+        let mut b = TraceBuilder::new();
+        for k in 0..40u64 {
+            b.load(Reg::int(1), 0x10_0000 + k * 4096);
+            b.alu(Reg::int(2), &[Reg::int(1)]);
+        }
+        let (config, trace) = (MachineConfig::table6(), b.finish());
+        let ctx = ServeContext::new("panics", config.clone(), trace.clone());
+        let host = Arc::new(ServeHost::new(Runner::new().with_threads(1), ctx));
+        let workers = 2;
+        let server = Server::start(host.clone(), "127.0.0.1:0", workers).expect("start");
+        let addr = server.addr();
+
+        // One more panic than there are workers: without recovery the
+        // last one would find no worker left to answer it.
+        for _ in 0..=workers {
+            assert_eq!(request(addr, "GET", PANIC_PATH, "").0, 500);
+        }
+        let errors = host.serve_metrics().snapshot().counter("serve.http_errors");
+        assert_eq!(errors, workers as u64 + 1);
+
+        let (status, body) = request(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200);
+        assert!(body.contains("\"workload\":\"panics\""), "{body}");
+        let (status, body) = request(addr, "POST", "/query", r#"{"queries":[{"cost":"dmiss"}]}"#);
+        assert_eq!(status, 200, "{body}");
+        let doc = json::parse(&body).expect("JSON body");
+        let answers = doc
+            .get("answers")
+            .and_then(json::Value::as_arr)
+            .expect("answers");
+        let dmiss = Query::Cost(EventSet::single(EventClass::Dmiss));
+        let (want, _) = Runner::new().run(&config, &trace, &[dmiss]);
+        assert_eq!(answers[0].as_num(), Some(want[0] as f64));
+        server.shutdown();
+    }
 }

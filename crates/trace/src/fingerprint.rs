@@ -1,7 +1,8 @@
 //! A stable content hasher, so fingerprints survive process restarts.
 //!
-//! [`Trace`](crate::Trace) fingerprints its instructions with it, and the
-//! runner keys its content-addressed result cache (in memory and on disk)
+//! [`Trace`](crate::Trace) fingerprints its instructions with it,
+//! [`WarmSet`](crate::WarmSet) memoizes its addresses' fold into it, and
+//! the runner keys its content-addressed result cache (in memory and on disk)
 //! by values it produces. It is FNV-1a over the types' `Hash` impls, so
 //! fingerprints are stable across runs and platforms (unlike
 //! `DefaultHasher`, whose algorithm is unspecified).
@@ -11,7 +12,7 @@ use std::hash::Hasher;
 /// A 64-bit FNV-1a [`Hasher`] with a fixed, documented algorithm.
 #[derive(Debug, Clone)]
 pub struct StableHasher {
-    state: u64,
+    pub(crate) state: u64,
 }
 
 impl Default for StableHasher {

@@ -7,6 +7,8 @@
 //!
 //! * [`Inst`] / [`Trace`] — dynamic instructions as consumed by the
 //!   cycle-level simulator (`uarch-sim`),
+//! * [`WarmSet`] — addresses touched before timing, which memoize their
+//!   fold into a [`StableHasher`] so context fingerprints stay cheap,
 //! * [`StaticProgram`] — the "program binary" view needed by the shotgun
 //!   profiler's reconstruction algorithm (paper Figure 5a infers control flow
 //!   and operand structure from the binary),
@@ -40,6 +42,7 @@ mod fingerprint;
 mod inst;
 mod program;
 mod trace;
+mod warm;
 
 pub use config::{BranchPredictorConfig, CacheConfig, FuClass, FuConfig, MachineConfig, TlbConfig};
 pub use events::{EventClass, EventSet, Subsets};
@@ -47,3 +50,4 @@ pub use fingerprint::StableHasher;
 pub use inst::{Inst, OpClass, Reg};
 pub use program::{StaticInst, StaticProgram};
 pub use trace::{Trace, TraceBuilder};
+pub use warm::WarmSet;

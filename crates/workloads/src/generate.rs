@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::profiles::BenchProfile;
-use uarch_trace::{Inst, OpClass, Reg, StaticInst, StaticProgram, Trace};
+use uarch_trace::{Inst, OpClass, Reg, StaticInst, StaticProgram, Trace, WarmSet};
 
 /// A generated benchmark: the dynamic trace plus the static code image
 /// (the "binary" the shotgun profiler consults).
@@ -29,9 +29,9 @@ pub struct Workload {
     pub program: StaticProgram,
     /// Data addresses to touch before timing (steady-state cache/TLB
     /// contents; pass to `Simulator::run_warmed`).
-    pub warm_data: Vec<u64>,
+    pub warm_data: WarmSet,
     /// Code addresses to touch on the instruction side before timing.
-    pub warm_code: Vec<u64>,
+    pub warm_code: WarmSet,
 }
 
 // Memory-region layout (byte addresses).
@@ -117,8 +117,8 @@ pub fn generate(profile: &BenchProfile, n_insts: usize, seed: u64) -> Workload {
         name: profile.name.to_string(),
         trace: Trace::from_insts(walker.insts),
         program: walker.program,
-        warm_data: warm_data_set(profile),
-        warm_code,
+        warm_data: warm_data_set(profile).into(),
+        warm_code: warm_code.into(),
     }
 }
 
