@@ -4,71 +4,10 @@
 //! Section 4.2 corollary: window speedup grows with the issue-wakeup
 //! latency.
 
-use icost::sensitivity::{render_curves, window_sweep};
+use icost::sensitivity::{render_curves, window_sweep, SweepCurve};
 use icost_bench::paper::{FIG3_SPEEDUP_64_TO_128, WAKEUP_SPEEDUP_64_TO_128};
 use icost_bench::{bench_insts, workload, Shape};
-use uarch_runner::{default_threads, parallel_map};
-use uarch_sim::{Idealization, Simulator};
 use uarch_trace::MachineConfig;
-use uarch_workloads::Workload;
-
-/// Warmed window sweep (mirrors `icost::sensitivity::window_sweep` but
-/// keeps the benchmark's steady-state cache contents). Every point of the
-/// `params x windows` grid is an independent simulation, so the whole
-/// grid runs as one deterministic `parallel_map` wave.
-fn warmed_sweep(
-    w: &Workload,
-    base: &MachineConfig,
-    windows: &[usize],
-    params: &[u64],
-    apply: impl Fn(MachineConfig, u64) -> MachineConfig + Sync,
-) -> Vec<icost::sensitivity::SweepCurve> {
-    let grid: Vec<(u64, usize)> = params
-        .iter()
-        .flat_map(|&p| windows.iter().map(move |&win| (p, win)))
-        .collect();
-    let tracer = uarch_obs::global();
-    let _sp = if tracer.is_enabled() {
-        tracer.span_with(
-            "bench",
-            "fig3.sweep",
-            vec![("points", grid.len().to_string())],
-        )
-    } else {
-        tracer.span("bench", "fig3.sweep")
-    };
-    let cycles = parallel_map(&grid, default_threads(), |&(p, win)| {
-        let cfg = apply(base.clone(), p).with_window(win);
-        Simulator::new(&cfg).cycles_warmed(
-            &w.trace,
-            Idealization::none(),
-            &w.warm_data,
-            &w.warm_code,
-        )
-    });
-    params
-        .iter()
-        .enumerate()
-        .map(|(pi, &p)| {
-            let row = &cycles[pi * windows.len()..(pi + 1) * windows.len()];
-            let first = row[0] as f64;
-            icost::sensitivity::SweepCurve {
-                param: p,
-                windows: windows.to_vec(),
-                speedup_percent: row
-                    .iter()
-                    .map(|&c| {
-                        if c == 0 {
-                            0.0
-                        } else {
-                            100.0 * (first / c as f64 - 1.0)
-                        }
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
-}
 
 fn main() {
     let _flush = uarch_obs::flush_guard();
@@ -80,8 +19,10 @@ fn main() {
     println!("(the paper plots gap; in this suite the serial dl1+win interaction is");
     println!(" strongest for vortex, so vortex carries the dl1 sweep — see EXPERIMENTS.md)\n");
     let vortex = workload("vortex", n, icost_bench::DEFAULT_SEED);
-    let dl1_curves = warmed_sweep(
-        &vortex,
+    let dl1_curves = window_sweep(
+        &vortex.trace,
+        &vortex.warm_data,
+        &vortex.warm_code,
         &MachineConfig::table6(),
         &windows,
         &[1, 2, 4],
@@ -90,7 +31,7 @@ fn main() {
     println!("vortex, by L1 latency:");
     println!("{}", render_curves("dl1 lat", &dl1_curves));
 
-    let s64_128 = |curves: &[icost::sensitivity::SweepCurve], param: u64| {
+    let s64_128 = |curves: &[SweepCurve], param: u64| {
         curves
             .iter()
             .find(|c| c.param == param)
@@ -120,8 +61,10 @@ fn main() {
     // Section 4.2 corollary: issue-wakeup latency (strongest for the
     // chain-bound gzip in this suite).
     let gzip = workload("gzip", n, icost_bench::DEFAULT_SEED);
-    let wake_curves = warmed_sweep(
-        &gzip,
+    let wake_curves = window_sweep(
+        &gzip.trace,
+        &gzip.warm_data,
+        &gzip.warm_code,
         &MachineConfig::table6(),
         &windows,
         &[1, 2],
@@ -141,10 +84,12 @@ fn main() {
         w2 > w1 && w1 > 0.0,
     );
 
-    // The unwarmed library sweep must agree on the qualitative conclusion
-    // (it is the public API users reach for).
+    // The same sweep from cold caches must agree on the qualitative
+    // conclusion.
     let lib_curves = window_sweep(
         &vortex.trace,
+        &[],
+        &[],
         &MachineConfig::table6(),
         &[64, 128],
         &[1, 4],

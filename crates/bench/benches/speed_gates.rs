@@ -71,6 +71,9 @@ const RACE_SAMPLE: Duration = Duration::from_millis(20);
 /// Passes of each side in the overhead and perturbation gates.
 const OVERHEAD_REPS: usize = 5;
 
+/// Passes of each side in the lane-kernel gate.
+const LANE_REPS: usize = 9;
+
 /// Passes of each side in the warm-set gate, and cached calls per pass.
 const WARM_PASSES: usize = 15;
 const WARM_CALLS: usize = 400;
@@ -98,9 +101,14 @@ fn alternate<A, B>(
 
 /// Wall time of one call.
 fn timed(f: impl FnOnce()) -> Duration {
+    timed_output(f).1
+}
+
+/// Output and wall time of one call.
+fn timed_output<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
-    f();
-    t0.elapsed()
+    let output = f();
+    (output, t0.elapsed())
 }
 
 /// Time both engines on one workload, gating bit-identity first.
@@ -205,7 +213,9 @@ fn engine(shape: &mut Shape, n: usize) {
 
 /// The full 256-subset lattice over one gcc graph: one instruction
 /// sweep per subset (`DepGraph::evaluate`) against the lane-batched
-/// kernel (16 subsets per sweep), single-threaded, tracer off.
+/// kernel (16 subsets per sweep), single-threaded, tracer off. Medians
+/// of [`LANE_REPS`] [`alternate`]d passes per side; every pass's times
+/// must be bit-identical to the first scalar pass's.
 fn graph(shape: &mut Shape, n: usize) {
     let cfg = MachineConfig::table6();
     let (_, graph) = observe_workload(&workload("gcc", n, DEFAULT_SEED), &cfg);
@@ -216,22 +226,24 @@ fn graph(shape: &mut Shape, n: usize) {
         graph.len()
     );
 
-    let start = Instant::now();
-    let scalar: Vec<u64> = sets.iter().map(|&s| graph.evaluate(s)).collect();
-    let scalar_wall = start.elapsed();
     let mut scratch = LaneScratch::new();
-    let start = Instant::now();
-    let batched = graph.eval_many_with(&sets, &mut scratch);
-    let batched_wall = start.elapsed();
+    let (scalar, batched) = alternate(
+        LANE_REPS,
+        || timed_output(|| sets.iter().map(|&s| graph.evaluate(s)).collect::<Vec<_>>()),
+        || timed_output(|| graph.eval_many_with(&sets, &mut scratch)),
+    );
+    let reference = &scalar[0].0;
+    let scalar_wall = median(scalar.iter().map(|(_, d)| *d));
+    let batched_wall = median(batched.iter().map(|(_, d)| *d));
     let speedup = scalar_wall.as_secs_f64() / batched_wall.as_secs_f64().max(1e-9);
     println!("scalar:  {:>4} sweeps in {scalar_wall:>10.3?}", sets.len());
     println!(
-        "batched: {:>4} sweeps in {batched_wall:>10.3?}  ({speedup:.2}x)\n",
+        "batched: {:>4} sweeps in {batched_wall:>10.3?}  ({speedup:.2}x, medians of {LANE_REPS})\n",
         sets.len().div_ceil(MAX_LANES)
     );
     shape.check(
         "lane-batched times are bit-identical to per-set evaluation",
-        batched == scalar,
+        scalar.iter().chain(&batched).all(|(t, _)| t == reference),
     );
     shape.check(
         "lane batching is at least 4x faster than per-set sweeps",

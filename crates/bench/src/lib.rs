@@ -14,7 +14,7 @@ pub mod paper;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use icost::{Breakdown, CostOracle};
+use icost::Breakdown;
 use uarch_graph::DepGraph;
 use uarch_obs::ledger::Ledger;
 use uarch_runner::{Backend, Oracle, Runner, SimCache};
@@ -147,11 +147,6 @@ pub fn workload_breakdown(w: &Workload, config: &MachineConfig, focus: EventClas
     let (_, graph) = observe_workload(w, config);
     let mut oracle = workload_graph_oracle(&graph, w, config);
     Breakdown::with_focus(&mut oracle, &EventClass::ALL, focus)
-}
-
-/// Convenience: percent cost of one set via any oracle.
-pub fn percent(oracle: &mut dyn CostOracle, set: uarch_trace::EventSet) -> f64 {
-    oracle.cost_percent(set)
 }
 
 /// A qualitative reproduction check, tallied by [`Shape`].

@@ -22,9 +22,11 @@
 //!
 //! This crate provides:
 //!
-//! * [`CostOracle`] — the `cost(S)` abstraction, with the paper's two
-//!   implementations: re-simulation ([`MultiSimOracle`], 2ⁿ runs) and
-//!   dependence-graph analysis ([`GraphOracle`], Section 3);
+//! * [`CostOracle`] — the `cost(S)` abstraction, with serial per-set
+//!   references for the paper's two measurements: re-simulation
+//!   ([`MultiSimOracle`], 2ⁿ runs) and dependence-graph analysis
+//!   ([`GraphOracle`], Section 3). Analyses ask `uarch-runner`'s
+//!   `Runner::oracle`, which batches, caches and counts the same answers;
 //! * [`icost`]/[`icost_of_sets`]/[`Interaction`] — the icost algebra;
 //! * [`Breakdown`] — parallelism-aware CPI breakdowns (Section 2.3,
 //!   Table 4 layout) and their ASCII visualization (Figure 1b);

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use uarch_graph::{DepGraph, LaneScratch};
+use uarch_graph::DepGraph;
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventSet, MachineConfig, Trace};
 
@@ -29,26 +29,27 @@ pub trait CostOracle {
     }
 
     /// Hint that every set in `sets` is about to be queried via
-    /// [`CostOracle::cost`]. Batch-capable oracles (the `uarch-runner`
-    /// crate's parallel/cached oracles) expand this into one deduplicated
-    /// wave of simulation jobs; the default is a no-op, so serial oracles
-    /// are unaffected. Callers must not rely on prefetching for
-    /// correctness — `cost` must return the same value either way.
+    /// [`CostOracle::cost`]. The `uarch-runner` crate's oracle expands
+    /// this into one deduplicated wave: simulation jobs, or lane groups
+    /// of the batched graph kernel. The default is a no-op, so the serial
+    /// reference oracles here answer every set on its own. Callers must
+    /// not rely on prefetching for correctness — `cost` must return the
+    /// same value either way.
     fn prefetch(&mut self, sets: &[EventSet]) {
         let _ = sets;
     }
 }
 
-/// The fast oracle: graph re-evaluation under per-edge idealization
-/// (paper Section 3). One O(n) pass per distinct set, memoized; batches
-/// announced via [`CostOracle::prefetch`] (every `Breakdown` does this)
-/// run through the lane-batched kernel, many sets per pass.
+/// The per-set scalar reference for graph answers: re-evaluation under
+/// per-edge idealization (paper Section 3), one O(n)
+/// [`DepGraph::evaluate`] pass per distinct set, memoized. It never
+/// batches, so it is independent of the lane kernel it checks;
+/// analyses ask `uarch-runner`'s `Runner::oracle(Backend::graph(..))`.
 #[derive(Debug)]
 pub struct GraphOracle<'g> {
     graph: &'g DepGraph,
     memo: HashMap<EventSet, i64>,
     baseline: u64,
-    scratch: LaneScratch,
 }
 
 impl<'g> GraphOracle<'g> {
@@ -58,7 +59,6 @@ impl<'g> GraphOracle<'g> {
             graph,
             memo: HashMap::new(),
             baseline: graph.evaluate(EventSet::EMPTY),
-            scratch: LaneScratch::new(),
         }
     }
 
@@ -83,22 +83,6 @@ impl CostOracle for GraphOracle<'_> {
 
     fn baseline(&mut self) -> u64 {
         self.baseline
-    }
-
-    fn prefetch(&mut self, sets: &[EventSet]) {
-        let mut jobs: Vec<EventSet> = Vec::new();
-        for &s in sets {
-            if !s.is_empty() && !self.memo.contains_key(&s) && !jobs.contains(&s) {
-                jobs.push(s);
-            }
-        }
-        if jobs.is_empty() {
-            return;
-        }
-        let times = self.graph.eval_many_with(&jobs, &mut self.scratch);
-        for (s, t) in jobs.into_iter().zip(times) {
-            self.memo.insert(s, self.baseline as i64 - t as i64);
-        }
     }
 }
 

@@ -36,11 +36,15 @@ impl SweepCurve {
 /// Run the Figure 3 study: for each secondary-parameter value, sweep the
 /// window size and measure speedup relative to the smallest window.
 /// `apply` installs the secondary parameter into the configuration.
+/// Every run first touches `warm_data`/`warm_code` (the workload's
+/// steady-state cache contents; pass `&[]` for cold caches).
 ///
 /// # Panics
 /// Panics if `windows` is empty.
 pub fn window_sweep(
     trace: &Trace,
+    warm_data: &[u64],
+    warm_code: &[u64],
     base: &MachineConfig,
     windows: &[usize],
     params: &[u64],
@@ -54,7 +58,12 @@ pub fn window_sweep(
                 .iter()
                 .map(|&w| {
                     let cfg = apply(base.clone(), p).with_window(w);
-                    Simulator::new(&cfg).cycles(trace, Idealization::none())
+                    Simulator::new(&cfg).cycles_warmed(
+                        trace,
+                        Idealization::none(),
+                        warm_data,
+                        warm_code,
+                    )
                 })
                 .collect();
             let first = cycles[0] as f64;
@@ -74,32 +83,6 @@ pub fn window_sweep(
             }
         })
         .collect()
-}
-
-/// The Figure 3 instance: window sweep at different L1 data-cache
-/// latencies.
-pub fn window_vs_dl1(
-    trace: &Trace,
-    base: &MachineConfig,
-    windows: &[usize],
-    dl1_latencies: &[u64],
-) -> Vec<SweepCurve> {
-    window_sweep(trace, base, windows, dl1_latencies, |cfg, lat| {
-        cfg.with_dl1_latency(lat)
-    })
-}
-
-/// The Section 4.2 corollary: window sweep at different issue-wakeup
-/// latencies.
-pub fn window_vs_wakeup(
-    trace: &Trace,
-    base: &MachineConfig,
-    windows: &[usize],
-    wakeups: &[u64],
-) -> Vec<SweepCurve> {
-    window_sweep(trace, base, windows, wakeups, |cfg, w| {
-        cfg.with_issue_wakeup(w)
-    })
 }
 
 /// Render curves as a small text table (windows as columns).
@@ -141,11 +124,18 @@ mod tests {
         b.finish()
     }
 
-    #[test]
-    fn bigger_window_speeds_up_miss_streams() {
+    /// Figure 3's cold sweep: window size at each L1 latency.
+    fn window_vs_dl1(windows: &[usize], latencies: &[u64]) -> Vec<SweepCurve> {
         let t = window_bound_kernel();
         let cfg = MachineConfig::table6();
-        let curves = window_vs_dl1(&t, &cfg, &[64, 128], &[2]);
+        window_sweep(&t, &[], &[], &cfg, windows, latencies, |cfg, lat| {
+            cfg.with_dl1_latency(lat)
+        })
+    }
+
+    #[test]
+    fn bigger_window_speeds_up_miss_streams() {
+        let curves = window_vs_dl1(&[64, 128], &[2]);
         assert_eq!(curves.len(), 1);
         assert_eq!(curves[0].speedup_percent[0], 0.0);
         assert!(
@@ -162,9 +152,7 @@ mod tests {
 
     #[test]
     fn render_produces_table() {
-        let t = window_bound_kernel();
-        let cfg = MachineConfig::table6();
-        let curves = window_vs_dl1(&t, &cfg, &[64, 128], &[1, 4]);
+        let curves = window_vs_dl1(&[64, 128], &[1, 4]);
         let s = render_curves("dl1", &curves);
         assert!(s.contains("win=128"));
         assert!(s.lines().count() >= 3);
@@ -174,8 +162,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one window")]
     fn empty_windows_rejected() {
-        let t = window_bound_kernel();
-        let cfg = MachineConfig::table6();
-        let _ = window_vs_dl1(&t, &cfg, &[], &[2]);
+        let _ = window_vs_dl1(&[], &[2]);
     }
 }

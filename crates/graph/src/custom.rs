@@ -6,10 +6,10 @@
 //! might consider the set of events consisting of all cache misses from a
 //! single static load" (Section 1). This module lets callers idealize any
 //! predicate over instructions, which is how per-static-load and
-//! per-instruction costs are measured.
+//! per-instruction costs are measured. The transform returns a graph like
+//! any other, so its `t(S)` is measured the one way every graph's is.
 
 use crate::model::{DepGraph, GraphInst};
-use uarch_trace::EventSet;
 
 /// What to idealize about one instruction in a custom evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,85 +55,44 @@ impl InstIdealization {
         ideal_mispredict: true,
     };
 
-    fn is_none(self) -> bool {
-        self == Self::NONE
+    /// `gi` with this idealization applied.
+    fn apply(self, mut gi: GraphInst) -> GraphInst {
+        if self.ideal_misses {
+            gi.ep_dmiss = 0;
+            gi.pp_producer = None;
+        }
+        if self.ideal_latency {
+            gi.ep_dl1 = 0;
+            gi.ep_dmiss = 0;
+            gi.ep_shalu = 0;
+            gi.ep_lgalu = 0;
+            gi.ep_base = 0;
+            gi.pp_producer = None;
+        }
+        if self.ideal_mispredict {
+            gi.mispredicted = false;
+        }
+        gi
     }
 }
 
 impl DepGraph {
-    /// Critical-path length with a *per-instruction* idealization chosen
-    /// by `pick` (called once per instruction), layered on top of the
-    /// class-level idealization `ideal` (pass [`EventSet::EMPTY`] for
-    /// none).
-    ///
-    /// `cost = evaluate(ideal) − evaluate_custom(ideal, pick)` gives the
-    /// cost of exactly the chosen events.
-    pub fn evaluate_custom(
+    /// This graph with a *per-instruction* idealization chosen by `pick`
+    /// (called once per instruction, in order). The chosen events'
+    /// latencies and edges are gone from the result, so
+    /// `evaluate(S) − idealize_insts(pick).evaluate(S)` is the cost of
+    /// exactly the chosen events on top of the class-level set `S`.
+    pub fn idealize_insts(
         &self,
-        ideal: EventSet,
         mut pick: impl FnMut(usize, &GraphInst) -> InstIdealization,
-    ) -> u64 {
-        // Fast path: reuse the shared evaluator when nothing custom is
-        // requested.
-        let mut any = false;
-        let adjusted: Vec<GraphInst> = self
+    ) -> DepGraph {
+        let insts = self
             .insts
             .iter()
             .enumerate()
-            .map(|(i, gi)| {
-                let what = pick(i, gi);
-                if what.is_none() {
-                    return *gi;
-                }
-                any = true;
-                let mut g = *gi;
-                if what.ideal_misses {
-                    g.ep_dmiss = 0;
-                    g.pp_producer = None;
-                }
-                if what.ideal_latency {
-                    g.ep_dl1 = 0;
-                    g.ep_dmiss = 0;
-                    g.ep_shalu = 0;
-                    g.ep_lgalu = 0;
-                    g.ep_base = 0;
-                    g.pp_producer = None;
-                }
-                if what.ideal_mispredict {
-                    g.mispredicted = false;
-                }
-                g
-            })
+            .map(|(i, gi)| pick(i, gi).apply(*gi))
             .collect();
-        if !any {
-            return self.evaluate(ideal);
-        }
-        self.adjusted(adjusted).evaluate(ideal)
-    }
-
-    /// Cost (cycles saved) of idealizing the instructions selected by
-    /// `pick`, with nothing else idealized.
-    pub fn cost_custom(&self, pick: impl FnMut(usize, &GraphInst) -> InstIdealization) -> i64 {
-        self.evaluate(EventSet::EMPTY) as i64 - self.evaluate_custom(EventSet::EMPTY, pick) as i64
-    }
-
-    /// The cost of each instruction in `targets`, measured *individually*
-    /// with [`InstIdealization::LATENCY`] — the per-instruction cost
-    /// metric of Tune et al. that the paper builds on. Returns one cost
-    /// per target. O(n) per target.
-    pub fn instruction_costs(&self, targets: &[usize]) -> Vec<i64> {
-        targets
-            .iter()
-            .map(|&t| {
-                self.cost_custom(|i, _| {
-                    if i == t {
-                        InstIdealization::LATENCY
-                    } else {
-                        InstIdealization::NONE
-                    }
-                })
-            })
-            .collect()
+        DepGraph::from_parts(insts, self.params)
     }
 }
 
@@ -141,7 +100,7 @@ impl DepGraph {
 mod tests {
     use super::*;
     use crate::model::GraphParams;
-    use uarch_trace::MachineConfig;
+    use uarch_trace::{EventSet, MachineConfig};
 
     fn params() -> GraphParams {
         GraphParams::from(&MachineConfig::table6())
@@ -155,18 +114,21 @@ mod tests {
         }
     }
 
+    /// Cycles saved by idealizing what `pick` chooses, nothing else.
+    fn cost(g: &DepGraph, pick: impl FnMut(usize, &GraphInst) -> InstIdealization) -> i64 {
+        let t = |g: &DepGraph| g.evaluate(EventSet::EMPTY) as i64;
+        t(g) - t(&g.idealize_insts(pick))
+    }
+
+    /// Idealize `what` about instruction `t` only.
+    fn only(t: usize, what: InstIdealization) -> impl FnMut(usize, &GraphInst) -> InstIdealization {
+        move |i, _| if i == t { what } else { InstIdealization::NONE }
+    }
+
     #[test]
     fn idealizing_the_only_miss_recovers_its_latency() {
-        let insts = vec![miss_inst(100)];
-        let g = DepGraph::from_parts(insts, params());
-        let cost = g.cost_custom(|i, _| {
-            if i == 0 {
-                InstIdealization::MISSES
-            } else {
-                InstIdealization::NONE
-            }
-        });
-        assert_eq!(cost, 100);
+        let g = DepGraph::from_parts(vec![miss_inst(100)], params());
+        assert_eq!(cost(&g, only(0, InstIdealization::MISSES)), 100);
     }
 
     #[test]
@@ -174,32 +136,13 @@ mod tests {
         // The paper's motivating example, at instruction granularity.
         let insts = vec![miss_inst(100), miss_inst(100)];
         let g = DepGraph::from_parts(insts, params());
-        let one = |t: usize| {
-            g.cost_custom(|i, _| {
-                if i == t {
-                    InstIdealization::MISSES
-                } else {
-                    InstIdealization::NONE
-                }
-            })
-        };
-        let both = g.cost_custom(|_, _| InstIdealization::MISSES);
+        let one = |t: usize| cost(&g, only(t, InstIdealization::MISSES));
+        let both = cost(&g, |_, _| InstIdealization::MISSES);
         assert_eq!(one(0), 0, "parallel miss #0 is individually free");
         assert_eq!(one(1), 0, "parallel miss #1 is individually free");
         assert!(both >= 100, "jointly they carry the time: {both}");
         // Negative? No — this is the canonical *parallel* interaction:
         // icost = both - one - one = both > 0.
-    }
-
-    #[test]
-    fn instruction_costs_match_manual_queries() {
-        let insts = vec![miss_inst(50), GraphInst::default(), miss_inst(80)];
-        let g = DepGraph::from_parts(insts, params());
-        let costs = g.instruction_costs(&[0, 2]);
-        assert_eq!(costs.len(), 2);
-        for c in &costs {
-            assert!(*c >= 0);
-        }
     }
 
     #[test]
@@ -210,23 +153,16 @@ mod tests {
         };
         br.mispredicted = true;
         let g = DepGraph::from_parts(vec![br, GraphInst::default()], params());
-        let cost = g.cost_custom(|i, _| {
-            if i == 0 {
-                InstIdealization::MISPREDICT
-            } else {
-                InstIdealization::NONE
-            }
-        });
+        let cost = cost(&g, only(0, InstIdealization::MISPREDICT));
         assert!(cost > 0, "removing the recovery must save cycles: {cost}");
     }
 
     #[test]
     fn no_selection_is_free_and_fast_path() {
         let g = DepGraph::from_parts(vec![miss_inst(10)], params());
-        assert_eq!(g.cost_custom(|_, _| InstIdealization::NONE), 0);
-        assert_eq!(
-            g.evaluate_custom(EventSet::EMPTY, |_, _| InstIdealization::NONE),
-            g.evaluate(EventSet::EMPTY)
-        );
+        assert_eq!(cost(&g, |_, _| InstIdealization::NONE), 0);
+        let same = g.idealize_insts(|_, _| InstIdealization::NONE);
+        assert_eq!(same.insts(), g.insts());
+        assert_eq!(same.fingerprint(), g.fingerprint());
     }
 }

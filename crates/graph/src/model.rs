@@ -256,18 +256,6 @@ impl DepGraph {
         }
     }
 
-    /// Same instruction data under the same parameters, skipping the
-    /// producer-ordering re-validation (used by the custom-idealization
-    /// paths, which only ever *remove* latencies/edges).
-    pub(crate) fn adjusted(&self, insts: Vec<GraphInst>) -> DepGraph {
-        DepGraph {
-            insts,
-            params: self.params,
-            times_scratch: std::sync::Mutex::new(Vec::new()),
-            fingerprint: OnceLock::new(),
-        }
-    }
-
     /// Number of instructions in the graph.
     pub fn len(&self) -> usize {
         self.insts.len()

@@ -19,11 +19,13 @@
 //! * [`Runner`] / [`Query`] — batch front door: expand queries into the
 //!   minimal distinct job set, execute in one parallel wave, answer from
 //!   cache;
-//! * [`Oracle`] / [`Backend`] — the one [`CostOracle`], built by
-//!   [`Runner::oracle`]: the same dedup, cache, telemetry and ledger path
-//!   over either ground-truth re-simulation (bit-identical to the serial
-//!   `MultiSimOracle`) or the lane-batched dependence-graph kernel
-//!   (bit-identical to `GraphOracle`);
+//! * [`Oracle`] / [`Backend`] — the one batched [`CostOracle`], built by
+//!   [`Runner::oracle`], that every analysis asks: the same dedup, cache,
+//!   telemetry and ledger path over either ground-truth re-simulation
+//!   (bit-identical to the serial `MultiSimOracle`) or the lane-batched
+//!   dependence-graph kernel (bit-identical to `GraphOracle`, which
+//!   evaluates one set per scalar pass). Those two `icost` oracles are
+//!   the per-set references the tests check this one against;
 //! * [`SimCache`] / [`ContextId`] — the shared, optionally disk-backed
 //!   result store keyed by content fingerprints;
 //! * [`RunReport`] — telemetry (jobs, dedups, hits, sims, wall time)

@@ -176,7 +176,6 @@ struct LaneMetrics {
     deduped: Counter,
     /// Sets answered from the cache instead of the kernel.
     memo_hits: Counter,
-    evaluated: Counter,
     eval_wall_us: Counter,
 }
 
@@ -189,7 +188,6 @@ impl LaneMetrics {
             requested: registry.counter("graph.batch.requested"),
             deduped: registry.counter("graph.batch.deduped"),
             memo_hits: registry.counter("graph.batch.memo_hits"),
-            evaluated: registry.counter("graph.batch.evaluated"),
             eval_wall_us: registry.counter("graph.batch.eval_wall_us"),
             registry,
         }
@@ -448,7 +446,6 @@ impl<'a> Oracle<'a> {
                 .concat();
                 let wall = start.elapsed();
                 self.lanes.lanes.add(lanes.len() as u64);
-                self.lanes.evaluated.add(lanes.len() as u64);
                 self.lanes.sweeps.add((groups.len() * graphs.len()) as u64);
                 Metrics::add_wall(&self.lanes.eval_wall_us, wall);
                 let per_lane = wall / (lanes.len() as u32).max(1);
@@ -665,7 +662,6 @@ mod tests {
         assert_eq!(snap.counter("graph.lanes"), 255);
         assert_eq!(snap.counter("graph.sweeps"), 16);
         assert_eq!(snap.counter("graph.batch.requested"), 256);
-        assert_eq!(snap.counter("graph.batch.evaluated"), 255);
         assert_eq!(lattice.report().sims_run, 255);
         // Re-prefetch: all cache hits (∅ twice: implied and listed), no
         // new sweeps.

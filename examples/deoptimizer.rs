@@ -10,8 +10,9 @@
 //!
 //! Run with: `cargo run --release --example deoptimizer`
 
-use icost::{CostOracle, GraphOracle};
+use icost::CostOracle;
 use uarch_graph::DepGraph;
+use uarch_runner::{Backend, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
 use uarch_workloads::{generate, BenchProfile, Workload};
@@ -33,7 +34,7 @@ fn main() {
     let result =
         Simulator::new(&cfg).run_warmed(&w.trace, Idealization::none(), &w.warm_data, &w.warm_code);
     let graph = DepGraph::build(&w.trace, &result, &cfg);
-    let mut oracle = GraphOracle::new(&graph);
+    let mut oracle = Runner::new().oracle(Backend::graph(&graph));
 
     println!("gzip stand-in: {base} cycles baseline\n");
     println!("resource costs (speedup if idealized):");

@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run --release --example pipeline_tutorial`
 
-use icost::{Breakdown, GraphOracle};
+use icost::Breakdown;
 use uarch_graph::DepGraph;
+use uarch_runner::{Backend, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig};
 use uarch_workloads::{generate, BenchProfile, Workload};
@@ -19,7 +20,7 @@ fn breakdown(w: &Workload, cfg: &MachineConfig, focus: EventClass) -> Breakdown 
     let result =
         Simulator::new(cfg).run_warmed(&w.trace, Idealization::none(), &w.warm_data, &w.warm_code);
     let graph = DepGraph::build(&w.trace, &result, cfg);
-    let mut oracle = GraphOracle::new(&graph);
+    let mut oracle = Runner::new().oracle(Backend::graph(&graph));
     Breakdown::with_focus(&mut oracle, &EventClass::ALL, focus)
 }
 

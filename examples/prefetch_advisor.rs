@@ -13,27 +13,22 @@
 
 use std::collections::HashMap;
 
+use icost::CostOracle;
 use uarch_graph::{DepGraph, InstIdealization};
+use uarch_runner::{Backend, Runner};
 use uarch_sim::{Idealization, Simulator};
-use uarch_trace::{EventSet, MachineConfig};
+use uarch_trace::{MachineConfig, Trace};
 use uarch_workloads::{generate, BenchProfile};
 
 /// Cost of idealizing "all cache misses from these static loads" (paper
-/// Table 1, first row, per-PC) via the graph's custom-idealization API.
-fn cost_of_static_loads(
-    graph: &DepGraph,
-    trace: &uarch_trace::Trace,
-    pcs: &[u64],
-    _baseline: u64,
-) -> i64 {
-    graph.cost_custom(|i, _| {
-        let inst = trace.inst(i);
-        if inst.op.is_load() && pcs.contains(&inst.pc) {
-            InstIdealization::MISSES
-        } else {
-            InstIdealization::NONE
-        }
-    })
+/// Table 1, first row, per-PC): `t(∅)` of the graph minus `t(∅)` without them.
+fn cost_of_static_loads(runner: &Runner, graph: &DepGraph, trace: &Trace, pcs: &[u64]) -> i64 {
+    let ideal = graph.idealize_insts(|i, _| match trace.inst(i) {
+        inst if inst.op.is_load() && pcs.contains(&inst.pc) => InstIdealization::MISSES,
+        _ => InstIdealization::NONE,
+    });
+    let t = |g: &DepGraph| runner.oracle(Backend::graph(g)).baseline() as i64;
+    t(graph) - t(&ideal)
 }
 
 fn main() {
@@ -46,7 +41,7 @@ fn main() {
     let result =
         Simulator::new(&cfg).run_warmed(&w.trace, Idealization::none(), &w.warm_data, &w.warm_code);
     let graph = DepGraph::build(&w.trace, &result, &cfg);
-    let baseline = graph.evaluate(EventSet::EMPTY);
+    let runner = Runner::new();
     println!(
         "mcf stand-in: {} insts, {} cycles, {:.1}% of loads miss L1",
         w.trace.len(),
@@ -62,7 +57,7 @@ fn main() {
         }
     }
     let mut hot: Vec<(u64, u64)> = miss_count.into_iter().collect();
-    hot.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+    hot.sort_by_key(|&(pc, c)| (std::cmp::Reverse(c), pc));
     hot.truncate(6);
 
     println!("\nper-static-load prefetch value (idealize that PC's misses):");
@@ -72,7 +67,7 @@ fn main() {
     );
     let mut costs: Vec<(u64, i64)> = Vec::new();
     for &(pc, misses) in &hot {
-        let cost = cost_of_static_loads(&graph, &w.trace, &[pc], baseline);
+        let cost = cost_of_static_loads(&runner, &graph, &w.trace, &[pc]);
         println!(
             "{:#012x} {misses:>8} {cost:>10} {:>10.1}",
             pc,
@@ -86,7 +81,7 @@ fn main() {
     if costs.len() >= 2 {
         let (a, ca) = costs[0];
         let (b, cb) = costs[1];
-        let joint = cost_of_static_loads(&graph, &w.trace, &[a, b], baseline);
+        let joint = cost_of_static_loads(&runner, &graph, &w.trace, &[a, b]);
         let icost = joint - ca - cb;
         println!(
             "\njoint prefetch of {a:#x} and {b:#x}: cost {joint} \

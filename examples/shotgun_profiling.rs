@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example shotgun_profiling`
 
-use icost::{Breakdown, CostOracle, GraphOracle};
+use icost::{Breakdown, CostOracle};
 use shotgun::{collect_samples, reconstruct, Profile, SamplerConfig};
 use uarch_graph::DepGraph;
 use uarch_runner::{Backend, Runner};
@@ -67,7 +67,7 @@ fn main() {
     // 4. Compare with the full simulator-built graph (which a deployed
     //    system would NOT have).
     let graph = DepGraph::build(&w.trace, &result, &cfg);
-    let mut full = GraphOracle::new(&graph);
+    let mut full = Runner::new().oracle(Backend::graph(&graph));
     let reference = Breakdown::with_focus(&mut full, &EventClass::ALL, EventClass::Dl1);
 
     println!(

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use icost::{icost, CostOracle, GraphOracle};
-use uarch_graph::{DepGraph, GraphInst, GraphParams, ProducerEdge};
+use uarch_graph::{DepGraph, GraphInst, GraphParams, InstIdealization, ProducerEdge};
 use uarch_runner::{Backend, Runner};
 use uarch_sim::{Idealization, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig, OpClass, Reg, Trace, TraceBuilder};
@@ -100,6 +100,27 @@ proptest! {
         let b = EventSet::single(EventClass::Bmisp);
         let by_def = oracle.cost(a.union(b)) - oracle.cost(a) - oracle.cost(b);
         prop_assert_eq!(icost(&mut oracle, a.union(b)), by_def);
+    }
+
+    /// Idealizing an event on every instruction is idealizing its class:
+    /// `t(∅)` with every instruction's misses idealized is `t({dmiss})`,
+    /// and with every misprediction idealized `t({bmisp})` — directly and
+    /// through the runner's graph backend.
+    #[test]
+    fn idealizing_every_inst_is_idealizing_the_class(graph in arb_graph()) {
+        let runner = Runner::new();
+        for (what, class) in [
+            (InstIdealization::MISSES, EventClass::Dmiss),
+            (InstIdealization::MISPREDICT, EventClass::Bmisp),
+        ] {
+            let set = EventSet::single(class);
+            let ideal = graph.idealize_insts(|_, _| what);
+            prop_assert_eq!(ideal.evaluate(EventSet::EMPTY), graph.evaluate(set));
+            let mut oracle = runner.oracle(Backend::graph(&graph));
+            let class_t = oracle.baseline() as i64 - oracle.cost(set);
+            let inst_t = runner.oracle(Backend::graph(&ideal)).baseline();
+            prop_assert_eq!(inst_t as i64, class_t, "{}", class);
+        }
     }
 
     /// Node times are monotone within an instruction (D <= R <= E <= P <=
