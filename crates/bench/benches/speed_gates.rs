@@ -1,6 +1,6 @@
 //! Speed gates: the wall-clock claims of the sim engine, the lane
-//! kernel, the runner and the serving plane, as one CI pass/fail
-//! artifact.
+//! kernel, the JSON grammar, the runner and the serving plane, as one
+//! CI pass/fail artifact.
 //!
 //! Every timed run first checks its answers bit for bit against a
 //! reference, so a fast-but-wrong build fails before any time is
@@ -13,7 +13,8 @@
 //! Sizes: the engine and lane-kernel sections run at
 //! `ICOST_BENCH_INSTS` (default 60k); the runner and serve sections
 //! replay a >100-simulation pair sweep, so they (and the warm-set
-//! section beside them) default to 12k.
+//! section beside them) default to 12k. The JSON section reads one
+//! fixed 1,000-instruction ingest body.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -25,10 +26,10 @@ use std::time::{Duration, Instant};
 use icost::{icost, MultiSimOracle};
 use icost_bench::{bench_insts, bench_insts_or, observe_workload, workload, Shape, DEFAULT_SEED};
 use uarch_graph::{LaneScratch, MAX_LANES};
-use uarch_obs::json::Value;
+use uarch_obs::json::{self, Reader, Value};
 use uarch_obs::{global, install_global, Tracer};
 use uarch_runner::{Query, RunReport, Runner};
-use uarch_serve::{ServeContext, ServeHost, Server};
+use uarch_serve::{inst_to_json, ServeContext, ServeHost, Server};
 use uarch_sim::{EngineMode, Idealization, SimResult, Simulator};
 use uarch_trace::{EventClass, EventSet, MachineConfig, Reg, Trace, TraceBuilder, WarmSet};
 use uarch_workloads::{generate, pointer_chase, BenchProfile, Workload};
@@ -73,6 +74,10 @@ const OVERHEAD_REPS: usize = 5;
 
 /// Passes of each side in the lane-kernel gate.
 const LANE_REPS: usize = 9;
+
+/// Passes of each side in the JSON grammar gate, and calls per pass.
+const JSON_REPS: usize = 9;
+const JSON_CALLS: usize = 10;
 
 /// Passes of each side in the warm-set gate, and cached calls per pass.
 const WARM_PASSES: usize = 15;
@@ -343,6 +348,73 @@ fn runner(shape: &mut Shape, w: &Workload, cfg: &MachineConfig) {
     );
 }
 
+/// The JSON grammar on the `POST /ingest` wire shape: `Reader::skip`
+/// (the tokenizer alone) against `json::parse` (the same tokens plus a
+/// tree) over one ingest body of 1,000 `mcf` instructions, medians of
+/// [`JSON_REPS`] [`alternate`]d passes of [`JSON_CALLS`] calls. Each
+/// call is timed alone and its result checked once the clock stops, so
+/// every timed result is checked and no tree is freed inside a timing.
+/// Building the tree costs allocations the tokenizer does not, so the
+/// ratio grows as tokenizing gets cheaper: a tokenizer that peeks byte
+/// by byte through `Option`s sits near 3.0x and fails, the
+/// byte-scanning one near 5.2x. The ratio moves with the tree's cost
+/// too, so the bound must be set again from measured medians whenever
+/// `Value::read` changes.
+fn json_grammar(shape: &mut Shape) {
+    let profile = BenchProfile::by_name("mcf").expect("suite profile");
+    let w = generate(profile, 1_000, DEFAULT_SEED);
+    let insts: Vec<String> = w.trace.insts().iter().map(inst_to_json).collect();
+    let body = format!(
+        "{{\"session\":\"gate\",\"window\":1024,\"insts\":[{}],\"done\":false}}",
+        insts.join(",")
+    );
+    let n = insts.len();
+    println!(
+        "JSON grammar — one ingest body of {n} mcf insts, {} bytes\n",
+        body.len()
+    );
+
+    let reference = json::parse(&body).expect("the body is valid JSON");
+    let skip = || {
+        let mut r = Reader::new(&body);
+        r.skip().and_then(|()| r.finish())
+    };
+    let (skips, trees) = alternate(
+        JSON_REPS,
+        || timed_calls(skip, |out| out.is_ok()),
+        || {
+            timed_calls(
+                || json::parse(&body),
+                |out| out.is_ok_and(|tree| tree == reference),
+            )
+        },
+    );
+    let per_inst = |d: Duration| d.as_nanos() as f64 / (JSON_CALLS * n) as f64;
+    let skip_ns = per_inst(median(skips.iter().map(|(_, d)| *d)));
+    let tree_ns = per_inst(median(trees.iter().map(|(_, d)| *d)));
+    let ratio = tree_ns / skip_ns.max(1e-9);
+    println!("Reader::skip  {skip_ns:>7.1} ns/inst");
+    println!("json::parse   {tree_ns:>7.1} ns/inst  ({ratio:.2}x skip, medians of {JSON_REPS})\n");
+    shape.check(
+        "every timed skip validates and every timed parse equals the reference tree",
+        skips.iter().chain(&trees).all(|(ok, _)| *ok),
+    );
+    shape.check(
+        "tree parse costs at least 4x the tokenizer's skip",
+        ratio >= 4.0,
+    );
+}
+
+/// [`JSON_CALLS`] calls of `call`, each timed alone: whether every
+/// result passed `ok` (checked, and dropped, once its clock stops) and
+/// the calls' summed time.
+fn timed_calls<T>(call: impl Fn() -> T, ok: impl Fn(T) -> bool) -> (bool, Duration) {
+    (0..JSON_CALLS).fold((true, Duration::ZERO), |(all, total), _| {
+        let (out, d) = timed_output(&call);
+        (ok(out) && all, total + d)
+    })
+}
+
 /// A cached single-query `run_warmed` call against the same call with
 /// both warm sets 8x as long (seven more copies at distinct addresses):
 /// fingerprinting the context must not walk the warm sets again once
@@ -576,6 +648,7 @@ fn main() -> ExitCode {
 
     serve(&mut shape, &w, &cfg);
     graph(&mut shape, bench_insts());
+    json_grammar(&mut shape);
     global().set_enabled(true);
     engine(&mut shape, bench_insts());
     global().set_enabled(false);

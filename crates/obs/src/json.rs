@@ -194,8 +194,9 @@ impl Value {
 }
 
 /// Arrays and objects nest at most this deep. Every level costs the
-/// reader a few stack frames, so the bound keeps a body made of
-/// brackets far inside a 2 MiB thread stack.
+/// reader a few stack frames (a few hundred bytes optimized, about
+/// 5 KB unoptimized), so the bound keeps a body made of brackets inside
+/// a 2 MiB thread stack.
 pub const MAX_DEPTH: usize = 256;
 
 /// The kind of the next value, told by its first byte.
@@ -223,11 +224,74 @@ pub enum Kind {
 /// tells which method fits. Errors are human-readable and carry a byte
 /// offset wherever the failed rule has one. After the top-level value,
 /// [`Reader::finish`] checks that only whitespace follows.
+///
+/// Each scan is one tight loop over the byte slice: whitespace and the
+/// plain runs of a string take a table lookup per byte, and a number's
+/// digits are summed as they are scanned. Compact JSON has no
+/// whitespace, so the reader looks for it only where the byte it
+/// expects is not there. [`Reader::skip`] and escaped strings run on a
+/// copy of the position passed by value: a reader that no call borrows
+/// keeps its position in a register.
 #[derive(Debug)]
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
     depth: usize,
+}
+
+/// Byte class: JSON whitespace.
+const WS: u8 = 1;
+/// Byte class: a string byte that stands for itself.
+const PLAIN: u8 = 2;
+/// Byte class: a byte a number's text may hold.
+const NUM: u8 = 4;
+
+/// The classes of every byte value.
+static CLASS: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut i = 0;
+    while i < 256 {
+        let b = i as u8;
+        if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+            table[i] |= WS;
+        }
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            table[i] |= PLAIN;
+        }
+        if matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
+            table[i] |= NUM;
+        }
+        i += 1;
+    }
+    table
+};
+
+#[inline(always)]
+fn is(b: u8, class: u8) -> bool {
+    CLASS[usize::from(b)] & class != 0
+}
+
+/// Where the run of bytes of `class` from `from` ends.
+#[inline(always)]
+fn run_end(bytes: &[u8], from: usize, class: u8) -> usize {
+    from + bytes[from..].iter().take_while(|&&b| is(b, class)).count()
+}
+
+/// Where the digit run from `from` ends, and its value (which wraps
+/// past 19 digits).
+#[inline(always)]
+fn digits(bytes: &[u8], from: usize) -> (usize, u64) {
+    let mut n = 0u64;
+    let mut end = from;
+    for &b in &bytes[from..] {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        n = n.wrapping_mul(10).wrapping_add(u64::from(d));
+        end += 1;
+    }
+    (end, n)
 }
 
 impl<'a> Reader<'a> {
@@ -241,6 +305,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The kind of the next value, without consuming it.
+    #[inline]
     pub fn kind(&mut self) -> Result<Kind, String> {
         self.skip_ws();
         match self.peek() {
@@ -250,174 +315,119 @@ impl<'a> Reader<'a> {
             Some(b't' | b'f') => Ok(Kind::Bool),
             Some(b'n') => Ok(Kind::Null),
             Some(b'-' | b'0'..=b'9') => Ok(Kind::Num),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+            other => Err(unexpected(other, self.pos)),
         }
     }
 
     /// Read `null`.
+    #[inline]
     pub fn null(&mut self) -> Result<(), String> {
         self.skip_ws();
-        self.literal("null")
+        self.literal(b"null")
     }
 
     /// Read `true` or `false`.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, String> {
         self.skip_ws();
-        let b = self.peek() == Some(b't');
-        self.literal(if b { "true" } else { "false" })?;
-        Ok(b)
+        self.bool_here()
     }
 
-    /// Read a number. A plain integer of up to 15 digits is summed
-    /// directly: it fits an `f64` exactly, so the result equals
-    /// `str::parse`'s, which reads every other number.
+    /// Read a number. A plain integer of up to 19 digits is summed as
+    /// it is scanned: it fits a `u64`, whose conversion rounds to the
+    /// nearest `f64` just as `str::parse` does, which reads every other
+    /// number.
+    #[inline]
     pub fn num(&mut self) -> Result<f64, String> {
         self.skip_ws();
-        let bytes = self.text.as_bytes();
-        let digits = |mut p: usize| {
-            while matches!(bytes.get(p), Some(b'0'..=b'9')) {
-                p += 1;
-            }
-            p
-        };
-        let start = self.pos;
-        let neg = bytes.get(start) == Some(&b'-');
-        let int_start = start + usize::from(neg);
-        let int_end = digits(int_start);
-        let int_len = int_end - int_start;
-        let mut ok = int_len == 1 || (int_len > 1 && bytes[int_start] != b'0');
-        let mut p = int_end;
-        if bytes.get(p) == Some(&b'.') {
-            let end = digits(p + 1);
-            ok &= end > p + 1;
-            p = end;
-        }
-        if matches!(bytes.get(p), Some(b'e' | b'E')) {
-            p += 1;
-            if matches!(bytes.get(p), Some(b'+' | b'-')) {
-                p += 1;
-            }
-            let end = digits(p);
-            ok &= end > p;
-            p = end;
-        }
-        // A malformed number is reported whole: its text runs on over
-        // every character a number may hold.
-        while matches!(
-            bytes.get(p),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            ok = false;
-            p += 1;
-        }
-        self.pos = p;
-        let text = &self.text[start..p];
-        if !ok {
-            return Err(format!("bad number {text:?} at byte {start}"));
-        }
-        if p == int_end && int_len <= 15 {
-            let n = bytes[int_start..int_end]
-                .iter()
-                .fold(0u64, |n, d| n * 10 + u64::from(d - b'0')) as f64;
-            return Ok(if neg { -n } else { n });
-        }
-        text.parse::<f64>()
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+        self.num_here()
     }
 
     /// Read a string, decoding every escape. A string without escapes
     /// is borrowed from the input.
+    #[inline]
     pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
-        self.skip_ws();
-        self.expect(b'"')?;
-        let start = self.pos;
-        self.plain_run();
-        match self.peek() {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                self.pos += 1;
-                return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
-            }
-            _ => {}
-        }
-        let mut out = String::from(&self.text[start..self.pos]);
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(Cow::Owned(out)),
-                Some(b'\\') => out.push(self.escape()?),
-                Some(b) if b < 0x20 => return Err("raw control character in string".into()),
-                Some(_) => {
-                    let run = self.pos - 1;
-                    self.plain_run();
-                    out.push_str(&self.text[run..self.pos]);
-                }
-            }
-        }
+        self.str_here()
     }
 
     /// Read an array, calling `item` once per element; `item` must
     /// read exactly one value.
+    #[inline]
     pub fn array(
         &mut self,
         mut item: impl FnMut(&mut Reader<'a>) -> Result<(), String>,
     ) -> Result<(), String> {
-        self.open(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-        } else {
-            loop {
-                item(self)?;
-                self.skip_ws();
-                match self.bump() {
-                    Some(b',') => {}
-                    Some(b']') => break,
-                    other => return Err(format!("expected ',' or ']', got {other:?}")),
-                }
-            }
+        let mut more = self.open(b'[', b']')?;
+        while more {
+            item(self)?;
+            more = self.more(b']')?;
         }
-        self.depth -= 1;
         Ok(())
     }
 
     /// Read an object, calling `member` once per key in document order
     /// (duplicates included); `member` must read exactly one value.
+    #[inline]
     pub fn object(
         &mut self,
         mut member: impl FnMut(Cow<'a, str>, &mut Reader<'a>) -> Result<(), String>,
     ) -> Result<(), String> {
-        self.open(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.str()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                member(key, self)?;
-                self.skip_ws();
-                match self.bump() {
-                    Some(b',') => {}
-                    Some(b'}') => break,
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
+        let mut more = self.open(b'{', b'}')?;
+        while more {
+            let key = self.str_here()?;
+            self.expect(b':')?;
+            member(key, self)?;
+            more = self.more(b'}')?;
         }
-        self.depth -= 1;
         Ok(())
     }
 
     /// Read one value of any kind, validating it without building it.
+    #[inline]
     pub fn skip(&mut self) -> Result<(), String> {
+        self.pos = Reader::skip_at(self.text, self.pos, self.depth)?;
+        Ok(())
+    }
+
+    /// [`Reader::skip`] from `pos` at nesting `depth`; returns where the
+    /// value ends.
+    fn skip_at(text: &'a str, pos: usize, depth: usize) -> Result<usize, String> {
+        let mut r = Reader { text, pos, depth };
+        match r.kind()? {
+            Kind::Arr => r.array(Reader::skip_here)?,
+            Kind::Obj => r.object(|_, r| r.skip_here())?,
+            scalar => r.skip_scalar(scalar)?,
+        }
+        Ok(r.pos)
+    }
+
+    /// [`Reader::skip`] with a scalar read in line: only arrays and
+    /// objects recurse. It and [`Reader::skip_scalar`] sit on the skip
+    /// recursion, `MAX_DEPTH` levels deep, so they are forced in line
+    /// only in optimized builds: an unoptimized frame keeps a slot for
+    /// every temporary of every function inlined into it. Left to plain
+    /// `#[inline]`, an optimized `skip` runs ~13% slower.
+    #[cfg_attr(debug_assertions, inline)]
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn skip_here(&mut self) -> Result<(), String> {
         match self.kind()? {
-            Kind::Null => self.null(),
-            Kind::Bool => self.bool().map(drop),
-            Kind::Num => self.num().map(drop),
-            Kind::Str => self.str().map(drop),
-            Kind::Arr => self.array(Reader::skip),
-            Kind::Obj => self.object(|_, r| r.skip()),
+            Kind::Arr | Kind::Obj => self.skip(),
+            scalar => self.skip_scalar(scalar),
+        }
+    }
+
+    /// Validate the scalar of `kind` that starts here.
+    #[cfg_attr(debug_assertions, inline)]
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn skip_scalar(&mut self, kind: Kind) -> Result<(), String> {
+        match kind {
+            Kind::Null => self.literal(b"null"),
+            Kind::Bool => self.bool_here().map(drop),
+            Kind::Num => self.num_here().map(drop),
+            _ => match self.open_str()? {
+                (_, true) => Ok(()),
+                (start, false) => self.escaped_str(start).map(drop),
+            },
         }
     }
 
@@ -431,60 +441,167 @@ impl<'a> Reader<'a> {
         }
     }
 
+    // The `_here` readers start at the value's first byte, whitespace
+    // already stepped over, and are forced in line: `#[inline]` on the
+    // public methods is only a hint, and a reader lent to a call that
+    // was not inlined keeps its position in memory.
+
+    #[inline(always)]
+    fn bool_here(&mut self) -> Result<bool, String> {
+        let b = self.peek() == Some(b't');
+        self.literal(if b { b"true" } else { b"false" })?;
+        Ok(b)
+    }
+
+    #[inline(always)]
+    fn num_here(&mut self) -> Result<f64, String> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let neg = bytes.get(start) == Some(&b'-');
+        let int_start = start + usize::from(neg);
+        let (int_end, n) = digits(bytes, int_start);
+        let int_len = int_end - int_start;
+        let canonical = int_len == 1 || (int_len > 1 && bytes[int_start] != b'0');
+        if canonical && int_len <= 19 && !bytes.get(int_end).is_some_and(|&b| is(b, NUM)) {
+            self.pos = int_end;
+            let n = n as f64;
+            return Ok(if neg { -n } else { n });
+        }
+        let (n, end) = num_rest(self.text, start, int_end, canonical)?;
+        self.pos = end;
+        Ok(n)
+    }
+
+    #[inline(always)]
+    fn str_here(&mut self) -> Result<Cow<'a, str>, String> {
+        match self.open_str()? {
+            (start, true) => Ok(Cow::Borrowed(&self.text[start..self.pos - 1])),
+            (start, false) => self.escaped_str(start).map(Cow::Owned),
+        }
+    }
+
+    /// Read a string's opening quote and its first plain run. Returns
+    /// where the run started and whether the closing quote ended it
+    /// (and was read).
+    #[inline(always)]
+    fn open_str(&mut self) -> Result<(usize, bool), String> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.pos = run_end(self.text.as_bytes(), start, PLAIN);
+        let closed = self.peek() == Some(b'"');
+        self.pos += usize::from(closed);
+        Ok((start, closed))
+    }
+
+    /// Finish a string whose first plain run, from `start`, did not end
+    /// on its closing quote.
+    #[inline]
+    fn escaped_str(&mut self, start: usize) -> Result<String, String> {
+        let (out, end) = Reader::escaped_str_at(self.text, start, self.pos)?;
+        self.pos = end;
+        Ok(out)
+    }
+
+    /// [`Reader::escaped_str`] with the position by value; returns the
+    /// string and where it ends.
+    fn escaped_str_at(text: &'a str, start: usize, pos: usize) -> Result<(String, usize), String> {
+        let mut r = Reader {
+            text,
+            pos,
+            depth: 0,
+        };
+        let mut out = String::from(&text[start..pos]);
+        loop {
+            match r.bump() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => return Ok((out, r.pos)),
+                Some(b'\\') => out.push(r.escape()?),
+                Some(b) if b < 0x20 => return Err("raw control character in string".into()),
+                Some(_) => {
+                    let run = r.pos - 1;
+                    r.pos = run_end(text.as_bytes(), r.pos, PLAIN);
+                    out.push_str(&text[run..r.pos]);
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline(always)]
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
         self.pos += 1;
         Some(b)
     }
 
+    /// Step over whitespace. Compact JSON has none, so one look at the
+    /// next byte usually settles it.
+    #[inline(always)]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+        if self.peek().is_some_and(|b| is(b, WS)) {
+            self.pos = run_end(self.text.as_bytes(), self.pos, WS);
         }
     }
 
+    /// Read the byte `b`, after whitespace if there is any.
+    #[inline(always)]
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bump() == Some(b) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                b as char,
-                self.pos.saturating_sub(1)
-            ))
+        if self.peek() != Some(b) {
+            self.skip_ws();
+            if self.peek() != Some(b) {
+                // The offset of the wrong byte, or of the last byte
+                // when the text ended.
+                return Err(expected(b, self.pos.min(self.text.len().saturating_sub(1))));
+            }
         }
-    }
-
-    /// Enter an array or object, holding the nesting bound.
-    fn open(&mut self, bracket: u8) -> Result<(), String> {
-        self.skip_ws();
-        let at = self.pos;
-        self.expect(bracket)?;
-        if self.depth == MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
-        }
-        self.depth += 1;
+        self.pos += 1;
         Ok(())
     }
 
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
+    /// Enter an array or object, holding the nesting bound. Returns
+    /// whether it holds any item: an empty one is read whole, `close`
+    /// included.
+    #[inline(always)]
+    fn open(&mut self, bracket: u8, close: u8) -> Result<bool, String> {
+        self.expect(bracket)?;
+        if self.depth == MAX_DEPTH {
+            return Err(too_deep(self.pos - 1));
+        }
+        self.skip_ws();
+        let empty = self.peek() == Some(close);
+        self.pos += usize::from(empty);
+        self.depth += usize::from(!empty);
+        Ok(!empty)
+    }
+
+    /// Read the `,` or `close` after an item: whether another item
+    /// follows. Leaving the array or object, step out of its depth.
+    #[inline(always)]
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        if self.peek() != Some(b',') && self.peek() != Some(close) {
+            self.skip_ws();
+        }
+        match self.bump() {
+            Some(b',') => Ok(true),
+            Some(b) if b == close => {
+                self.depth -= 1;
+                Ok(false)
+            }
+            other => Err(expected_sep(close as char, other)),
         }
     }
 
-    /// Step over string bytes that stand for themselves. The run ends
-    /// on an ASCII byte (or the end), so it is whole UTF-8.
-    fn plain_run(&mut self) {
-        while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
-            self.pos += 1;
+    #[inline(always)]
+    fn literal(&mut self, word: &[u8]) -> Result<(), String> {
+        if self.text.as_bytes()[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(bad_literal(self.pos))
         }
     }
 
@@ -535,6 +652,70 @@ impl<'a> Reader<'a> {
         }
         Ok(v)
     }
+}
+
+/// Finish a number that is not a plain integer of up to 19 digits;
+/// returns it and where it ends.
+fn num_rest(
+    text: &str,
+    start: usize,
+    int_end: usize,
+    canonical: bool,
+) -> Result<(f64, usize), String> {
+    let bytes = text.as_bytes();
+    let mut ok = canonical;
+    let mut p = int_end;
+    if bytes.get(p) == Some(&b'.') {
+        let end = digits(bytes, p + 1).0;
+        ok &= end > p + 1;
+        p = end;
+    }
+    if matches!(bytes.get(p), Some(b'e' | b'E')) {
+        p += 1;
+        if matches!(bytes.get(p), Some(b'+' | b'-')) {
+            p += 1;
+        }
+        let end = digits(bytes, p).0;
+        ok &= end > p;
+        p = end;
+    }
+    // A malformed number is reported whole: its text runs on over
+    // every character a number may hold.
+    let end = run_end(bytes, p, NUM);
+    ok &= end == p;
+    let text = &text[start..end];
+    match text.parse::<f64>() {
+        Ok(n) if ok => Ok((n, end)),
+        _ => Err(format!("bad number {text:?} at byte {start}")),
+    }
+}
+
+// The error texts, kept out of line: the scanning paths that build them
+// stay small enough to inline.
+
+#[cold]
+fn unexpected(byte: Option<u8>, at: usize) -> String {
+    format!("unexpected {byte:?} at byte {at}")
+}
+
+#[cold]
+fn expected(byte: u8, at: usize) -> String {
+    format!("expected {:?} at byte {at}", byte as char)
+}
+
+#[cold]
+fn expected_sep(close: char, got: Option<u8>) -> String {
+    format!("expected ',' or '{close}', got {got:?}")
+}
+
+#[cold]
+fn too_deep(at: usize) -> String {
+    format!("nesting deeper than {MAX_DEPTH} at byte {at}")
+}
+
+#[cold]
+fn bad_literal(at: usize) -> String {
+    format!("bad literal at byte {at}")
 }
 
 #[cfg(test)]

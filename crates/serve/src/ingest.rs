@@ -374,7 +374,7 @@ impl BodySlots<'_> {
             Some(Scalar::Str(s)) => s,
             _ => return Err("missing \"session\" string".into()),
         };
-        if session.is_empty() || session.len() > 128 {
+        if !(1..=128).contains(&session.chars().count()) {
             return Err("\"session\" must be 1..=128 characters".into());
         }
         let window = match self.window {
@@ -560,7 +560,9 @@ fn read_srcs(r: &mut Reader<'_>) -> Result<Result<[Option<Reg>; 2], String>, Str
     Ok(Ok(srcs))
 }
 
-/// Parse the `Reg` display form (`r5` / `f3`) back to a register.
+/// Parse the `Reg` display form (`r5` / `f3`) back to a register. The
+/// index is taken only in that form: `0`, or digits with no leading
+/// zero (so not `r05` or `r+5`).
 fn parse_reg(name: &str) -> Result<Reg, String> {
     let (make, index): (fn(u8) -> Reg, &str) = if let Some(index) = name.strip_prefix('r') {
         (Reg::int, index)
@@ -569,9 +571,13 @@ fn parse_reg(name: &str) -> Result<Reg, String> {
     } else {
         return Err(format!("bad register {name:?} (want rN or fN)"));
     };
-    let n: u8 = index
-        .parse()
-        .map_err(|_| format!("bad register {name:?}"))?;
+    let bad = || format!("bad register {name:?}");
+    let n: u8 = match index.as_bytes() {
+        [b'0'] | [b'1'..=b'9', ..] if index.bytes().all(|b| b.is_ascii_digit()) => {
+            index.parse().map_err(|_| bad())?
+        }
+        _ => return Err(bad()),
+    };
     if n >= 32 {
         return Err(format!("register index {n} out of range in {name:?}"));
     }
@@ -830,7 +836,7 @@ mod tests {
             .get("session")
             .and_then(Value::as_str)
             .ok_or("missing \"session\" string")?;
-        if session.is_empty() || session.len() > 128 {
+        if !(1..=128).contains(&session.chars().count()) {
             return Err("\"session\" must be 1..=128 characters".into());
         }
         let window = match doc.get("window") {
@@ -922,6 +928,75 @@ mod tests {
             taken,
             next_pc,
         })
+    }
+
+    /// Both decoders on `text`, which must agree.
+    fn decode_both(text: &str) -> Result<IngestBatch, String> {
+        let decoded = parse_ingest_body(text);
+        assert_eq!(decoded, reference_body(text), "{text}");
+        decoded
+    }
+
+    #[test]
+    fn registers_decode_only_in_their_display_form() {
+        let with_regs = |dst: &str, src: &str| {
+            format!(
+                r#"{{"session":"x","insts":[{{"pc":0,"op":"alu","dst":"{dst}","srcs":["{src}"],"next_pc":4}}]}}"#
+            )
+        };
+        for name in ["r0", "f0", "r9", "r10", "f31"] {
+            let batch = decode_both(&with_regs(name, name)).expect(name);
+            assert_eq!(batch.insts[0].dst.map(|r| r.to_string()), Some(name.into()));
+        }
+        // `u8::from_str` alone would take a sign and leading zeros.
+        for bad in ["r+5", "r05", "f+1", "r00", "f01", "r", "r-1", "r 1", "r1 "] {
+            let want = Err(format!("insts[0]: bad register {bad:?}"));
+            assert_eq!(decode_both(&with_regs(bad, "r1")), want);
+            assert_eq!(decode_both(&with_regs("r1", bad)), want);
+        }
+        assert_eq!(
+            decode_both(&with_regs("r32", "r1")),
+            Err("insts[0]: register index 32 out of range in \"r32\"".into())
+        );
+        assert_eq!(
+            decode_both(&with_regs("r1", "r256")),
+            Err("insts[0]: bad register \"r256\"".into())
+        );
+    }
+
+    #[test]
+    fn session_names_are_bounded_in_characters() {
+        let session = |name: &str| format!(r#"{{"session":{}}}"#, json::quote(name));
+        // 128 two-byte characters are 256 bytes, and within the bound.
+        for name in ["a".repeat(128), "é".repeat(128), "\u{1F600}".repeat(128)] {
+            assert_eq!(
+                decode_both(&session(&name)).expect("at the bound").session,
+                name
+            );
+        }
+        for name in [String::new(), "a".repeat(129), "é".repeat(129)] {
+            assert_eq!(
+                decode_both(&session(&name)),
+                Err("\"session\" must be 1..=128 characters".into())
+            );
+        }
+    }
+
+    #[test]
+    fn keys_written_with_escapes_fill_their_fields() {
+        let batch = decode_both(
+            r#"{"s\u0065ssion":"x","insts":[{"p\u0063":16384,"\u006fp":"ld","next_p\u0063":16388}]}"#,
+        )
+        .expect("escaped keys decode");
+        assert_eq!(
+            (
+                batch.session.as_str(),
+                batch.insts[0].pc,
+                batch.insts[0].next_pc
+            ),
+            ("x", 16384, 16388)
+        );
+        assert_eq!(batch.insts[0].op, OpClass::Load);
     }
 
     fn arb_inst() -> impl Strategy<Value = Inst> {
